@@ -1,37 +1,31 @@
 // End-to-end simulation-engine benchmarks.
 //
-// Two layers:
+// Three layers:
 //
-//   1. BM_EventCore_* — an interleaved A/B of the event core. Side A
-//      ("Legacy") is the pre-overhaul pipeline verbatim: the old engine
-//      (type-erased std::function events in a binary std::priority_queue,
-//      with the copy-before-pop in Step) driven with the old scheduling
-//      idiom (requests copied into their arrival events, per-org
-//      make_shared commit fan-out). Side B ("Pooled") is the shipping
-//      pipeline: the 4-ary-heap/InlineCallback-slot-pool Simulator driven
-//      move-clean (thin by-reference arrivals, payload moved through
-//      assembly, one shared commit payload). Both run the same
-//      seven-events-per-transaction pipeline shape — arrival → endorse ×3
-//      → order → commit fan-out ×2 — over the same pre-built schedule.
-//      items/sec = events/sec.
+//   1. BM_EventCore_Pooled — the event core alone: the 4-ary-heap /
+//      InlineCallback-slot-pool Simulator driven move-clean (thin
+//      by-reference arrivals, payload moved through assembly, one shared
+//      commit payload) over a seven-events-per-transaction pipeline shape
+//      — arrival → endorse ×3 → order → commit fan-out ×2 — on a pre-built
+//      schedule. items/sec = events/sec.
 //
 //   2. BM_E2E_Experiment — the full pipeline (endorse → order → validate →
 //      commit via RunExperiment) on the paper's synthetic workload at
 //      three scales. items/sec = committed transactions/sec, so
 //      ns/tx = 1e9 / items_per_second.
 //
+//   3. BM_E2E_ShardedExperiment — the channels × sim-threads matrix.
+//
 // `--json-out=PATH` dumps the suite as a BENCH_e2e.json trajectory point
-// (schema blockoptr-bench-v1); main() additionally prints an explicit
-// interleaved A/B summary with the events/sec ratio at the largest scale.
+// (schema blockoptr-bench-v1); main() additionally prints an interleaved
+// single-channel vs 4-channel A/B with the committed-tx/s ratio.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,61 +37,7 @@ namespace blockoptr {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Legacy event core (the pre-overhaul Simulator, kept verbatim as the A side)
-// ---------------------------------------------------------------------------
-
-class LegacyEventEngine {
- public:
-  using Callback = std::function<void()>;
-
-  SimTime Now() const { return now_; }
-
-  /// The old engine had no pre-sizing hook (std::priority_queue exposes
-  /// none); kept as a no-op so both engines run the same workload code.
-  void Reserve(size_t) {}
-
-  void ScheduleAt(SimTime at, Callback cb) {
-    if (at < now_) at = now_;
-    queue_.push(Event{at, next_seq_++, std::move(cb)});
-  }
-  void ScheduleAfter(SimTime delay, Callback cb) {
-    ScheduleAt(now_ + delay, std::move(cb));
-  }
-  bool Step() {
-    if (queue_.empty()) return false;
-    Event ev = queue_.top();  // the copy-before-pop the overhaul removed
-    queue_.pop();
-    now_ = ev.time;
-    ++processed_;
-    ev.cb();
-    return true;
-  }
-  void Run() {
-    while (Step()) {
-    }
-  }
-  uint64_t num_processed() const { return processed_; }
-
- private:
-  struct Event {
-    SimTime time;
-    uint64_t seq;
-    Callback cb;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  SimTime now_ = 0;
-  uint64_t next_seq_ = 0;
-  uint64_t processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-};
-
-// ---------------------------------------------------------------------------
-// Pipeline-shaped synthetic workload (identical on both engines)
+// Pipeline-shaped synthetic workload
 // ---------------------------------------------------------------------------
 
 /// Stand-in for what real pipeline closures carry: a request/transaction
@@ -118,45 +58,7 @@ std::vector<TxPayload> MakePipelineSchedule(int num_txs) {
   return schedule;
 }
 
-/// Side A — the seed pipeline: every arrival event copies its request
-/// (the old `[&network, req]` idiom forced by std::function's
-/// copyability requirement), endorsement and ordering events carry the
-/// payload by value, and the commit fan-out re-heap-allocates the payload
-/// per delivering org (the old per-org make_shared<Block>). Every event
-/// folds into `sink` so no stage can be optimized away.
-void RunLegacyPipeline(LegacyEventEngine& eng,
-                       const std::vector<TxPayload>& schedule,
-                       uint64_t& sink) {
-  for (const TxPayload& req : schedule) {
-    TxPayload p = req;
-    eng.ScheduleAt(p.send_time, [&eng, &sink, p] {
-      for (int org = 0; org < 3; ++org) {
-        const double endorse_done = 0.0005 * (org + 1);
-        if (org < 2) {
-          eng.ScheduleAfter(endorse_done, [&sink, p] { sink += p.id; });
-        } else {
-          // Last endorsement assembles the transaction and submits it
-          // for ordering.
-          eng.ScheduleAfter(endorse_done, [&eng, &sink, p] {
-            sink += p.id;
-            eng.ScheduleAfter(0.0002, [&eng, &sink, p] {
-              sink += p.id;
-              // Commit fan-out: one payload copy per delivering org.
-              for (int dest = 0; dest < 2; ++dest) {
-                auto copy = std::make_shared<TxPayload>(p);
-                eng.ScheduleAfter(0.0001,
-                                  [&sink, copy] { sink += copy->id; });
-              }
-            });
-          });
-        }
-      }
-    });
-  }
-  eng.Run();
-}
-
-/// Side B — the shipping pipeline: thin by-reference arrivals (the
+/// The shipping pipeline: thin by-reference arrivals (the
 /// schedule outlives the run, as in driver/experiment.cc), the payload
 /// rides the pipeline by value only where it genuinely transfers
 /// (endorsement results, assembly), and the commit fan-out shares one
@@ -197,29 +99,33 @@ void RunPooledPipeline(Simulator& eng,
   eng.Run();
 }
 
-template <typename Engine, typename RunFn>
-void RunEventCoreBench(benchmark::State& state, RunFn run) {
+void BM_EventCore_Pooled(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const std::vector<TxPayload> schedule = MakePipelineSchedule(n);
   uint64_t events = 0;
   uint64_t sink = 0;
   for (auto _ : state) {
-    Engine eng;
-    run(eng, schedule, sink);
+    Simulator eng;
+    RunPooledPipeline(eng, schedule, sink);
     events += eng.num_processed();
   }
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(static_cast<int64_t>(events));
 }
-
-void BM_EventCore_Legacy(benchmark::State& state) {
-  RunEventCoreBench<LegacyEventEngine>(state, RunLegacyPipeline);
-}
-void BM_EventCore_Pooled(benchmark::State& state) {
-  RunEventCoreBench<Simulator>(state, RunPooledPipeline);
-}
-BENCHMARK(BM_EventCore_Legacy)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_EventCore_Pooled)->Arg(1000)->Arg(10000)->Arg(100000);
+
+/// One untimed run at the largest scale before any bench. glibc hands freed
+/// memory above its trim threshold back to the OS and raises that threshold
+/// only after a large block is freed, so in a cold process every iteration
+/// of the small-scale benches would re-fault the event pools. Warming the
+/// allocator first times the steady-state core.
+void WarmAllocator() {
+  const std::vector<TxPayload> schedule = MakePipelineSchedule(100000);
+  uint64_t sink = 0;
+  Simulator eng;
+  RunPooledPipeline(eng, schedule, sink);
+  benchmark::DoNotOptimize(sink);
+}
 
 // ---------------------------------------------------------------------------
 // Full pipeline: RunExperiment on the paper's synthetic workload
@@ -303,47 +209,16 @@ BENCHMARK(BM_E2E_ShardedExperiment)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Explicit interleaved A/B at the largest scale
+// Interleaved single-channel vs sharded A/B
 // ---------------------------------------------------------------------------
-
-template <typename Engine, typename RunFn>
-double MeasureEventsPerSec(const std::vector<TxPayload>& schedule, RunFn run,
-                           uint64_t& sink) {
-  Engine eng;
-  const auto start = std::chrono::steady_clock::now();
-  run(eng, schedule, sink);
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  return static_cast<double>(eng.num_processed()) / elapsed.count();
-}
 
 double Median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
 }
 
-/// Alternates legacy/pooled runs so drift (frequency scaling, cache
-/// state) hits both engines equally, then compares medians.
-void PrintInterleavedAB(int num_txs, int rounds) {
-  const std::vector<TxPayload> schedule = MakePipelineSchedule(num_txs);
-  std::vector<double> legacy, pooled;
-  uint64_t sink = 0;
-  for (int r = 0; r < rounds; ++r) {
-    legacy.push_back(MeasureEventsPerSec<LegacyEventEngine>(
-        schedule, RunLegacyPipeline, sink));
-    pooled.push_back(MeasureEventsPerSec<Simulator>(
-        schedule, RunPooledPipeline, sink));
-  }
-  benchmark::DoNotOptimize(sink);
-  const double a = Median(legacy);
-  const double b = Median(pooled);
-  std::printf("\ninterleaved A/B at %d txs (%d rounds, median): "
-              "legacy %.2fM events/s, pooled %.2fM events/s -> %.2fx\n",
-              num_txs, rounds, a / 1e6, b / 1e6, b / a);
-}
-
 /// Alternates single-channel and 4-channel/4-thread whole experiments and
-/// compares median committed-tx/s — the ISSUE's >=1.5x sharding target.
+/// compares median committed-tx/s against the >=1.5x sharding target.
 void PrintShardedAB(int num_txs, int rounds) {
   SyntheticConfig wl;
   wl.num_txs = num_txs;
@@ -380,9 +255,9 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   blockoptr::bench::JsonTrajectoryReporter reporter;
+  blockoptr::WarmAllocator();
   benchmark::RunSpecifiedBenchmarks(&reporter);
   if (!json_out.empty()) reporter.WriteJson(json_out, "e2e");
-  blockoptr::PrintInterleavedAB(/*num_txs=*/100000, /*rounds=*/5);
   blockoptr::PrintShardedAB(/*num_txs=*/100000, /*rounds=*/5);
   benchmark::Shutdown();
   return 0;

@@ -13,6 +13,10 @@
 //   blockoptr run --workload=synthetic --orgs=4 --policy=P1 --autotune
 //   blockoptr sweep --set=table3 --jobs=0
 //   blockoptr sweep --block-counts=50,300,1000 --jobs=4
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -58,6 +62,7 @@ struct CliArgs {
     auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
   }
+  // Numeric flags are checked by ValidateNumericFlags before any read.
   double GetDouble(const std::string& key, double fallback) const {
     auto it = flags.find(key);
     return it == flags.end() ? fallback : std::strtod(it->second.c_str(),
@@ -71,6 +76,81 @@ struct CliArgs {
                                               10));
   }
 };
+
+enum class NumberKind { kInt, kNonNegativeInt, kDouble };
+
+/// Why `text` is not a valid `kind` number, or "" when it is.
+std::string NumberError(const std::string& text, NumberKind kind) {
+  if (text.empty()) return "empty value";
+  if (std::isspace(static_cast<unsigned char>(text[0]))) {
+    return "not a number: '" + text + "'";
+  }
+  errno = 0;
+  char* end = nullptr;
+  if (kind == NumberKind::kDouble) {
+    const double v = std::strtod(text.c_str(), &end);
+    if (*end != '\0') return "not a number: '" + text + "'";
+    if (errno == ERANGE || !std::isfinite(v)) {
+      return "out of range: '" + text + "'";
+    }
+    return "";
+  }
+  const long v = std::strtol(text.c_str(), &end, 10);
+  if (*end != '\0') return "not an integer: '" + text + "'";
+  if (errno == ERANGE || v < INT_MIN || v > INT_MAX) {
+    return "out of range: '" + text + "'";
+  }
+  if (kind == NumberKind::kNonNegativeInt && v < 0) {
+    return "must not be negative: '" + text + "'";
+  }
+  return "";
+}
+
+/// Rejects any malformed numeric flag before a command runs. Flags cast to
+/// unsigned must not be negative; list flags check every element.
+bool ValidateNumericFlags(const CliArgs& args) {
+  struct NumericFlag {
+    const char* name;
+    NumberKind kind;
+    bool list = false;
+  };
+  using enum NumberKind;
+  static constexpr NumericFlag kFlags[] = {
+      {"txs", kInt},
+      {"orgs", kInt},
+      {"channels", kInt},
+      {"sim-threads", kInt},
+      {"jobs", kInt},
+      {"seed", kNonNegativeInt},
+      {"block-count", kNonNegativeInt},
+      {"txtrace-ring", kNonNegativeInt},
+      {"rate", kDouble},
+      {"key-skew", kDouble},
+      {"tx-skew", kDouble},
+      {"endorser-skew", kDouble},
+      {"block-timeout", kDouble},
+      {"sim-epoch", kDouble},
+      {"sample-period", kDouble},
+      {"txtrace-window", kDouble},
+      {"stream-window", kDouble},
+      {"rates", kDouble, /*list=*/true},
+      {"block-counts", kNonNegativeInt, /*list=*/true},
+      {"channel-weights", kDouble, /*list=*/true},
+  };
+  for (const NumericFlag& flag : kFlags) {
+    if (!args.Has(flag.name)) continue;
+    const std::string value = args.Get(flag.name, "");
+    std::vector<std::string> fields{value};
+    if (flag.list && !value.empty()) fields = Split(value, ',');
+    for (const std::string& field : fields) {
+      const std::string error = NumberError(field, flag.kind);
+      if (error.empty()) continue;
+      std::fprintf(stderr, "error: --%s: %s\n", flag.name, error.c_str());
+      return false;
+    }
+  }
+  return true;
+}
 
 int Usage() {
   std::printf(
@@ -108,8 +188,9 @@ int Usage() {
       "                   from the latency model's coupling latency)\n"
       "  --channel-weights=A,B,...  relative per-channel load (skewed\n"
       "                   channel traffic; default balanced)\n"
-      "  multi-channel observability exports write one suffixed file per\n"
-      "  channel (prom.txt -> prom-0.txt, each labeled channel=\"N\")\n"
+      "  multi-channel exports write one suffixed file per channel\n"
+      "  (prom.txt -> prom-0.txt, each labeled channel=\"N\"); the merged\n"
+      "  --txtrace-out keeps the given path\n"
       "\n"
       "fault injection (deterministic, scheduled in sim time):\n"
       "  --faults=SPEC    semicolon-separated fault events, each a preset\n"
@@ -179,9 +260,9 @@ int Usage() {
       "  --block-counts=A,B,...  sweep the orderer batch size\n"
       "  all `run` workload/network/stream flags set the sweep's base\n"
       "  config; --jobs=N picks the worker threads (rows identical for\n"
-      "  every N); --trace-out/--metrics-out/--prom-out/--report-out write\n"
-      "  one suffixed file per sweep point (metrics.json -> metrics-3.json\n"
-      "  for point 3)\n");
+      "  every N); every export flag writes one suffixed file per sweep\n"
+      "  point (metrics.json -> metrics-3.json for point 3) and, for a\n"
+      "  sharded point, per channel (metrics-3-1.json for channel 1)\n");
   return 2;
 }
 
@@ -303,13 +384,6 @@ Result<ExperimentConfig> BuildExperiment(const CliArgs& args) {
   return cfg;
 }
 
-Status WriteFileOrFail(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) return Status::Internal("cannot open '" + path + "' for writing");
-  out << content;
-  return Status::OK();
-}
-
 /// Whether the run needs telemetry, and with which aspects.
 /// Any txtrace flag turns the flight recorder on; --txtrace-out /
 /// --txtrace-ring / --txtrace-window imply --txtrace.
@@ -366,12 +440,11 @@ void PrintStreamSummary(const StreamEngine& stream) {
   std::printf("\n");
 }
 
-/// "metrics.json" + index 3 -> "metrics-3.json" (suffix appended when the
-/// basename has no extension). Used by sweep mode's per-point exports.
-std::string SuffixedPath(const std::string& path, size_t index) {
+/// "metrics.json" + "-3" -> "metrics-3.json" (suffix appended when the
+/// basename has no extension); an empty suffix keeps the path as given.
+std::string SuffixedPath(const std::string& path, const std::string& suffix) {
   size_t slash = path.find_last_of('/');
   size_t dot = path.find_last_of('.');
-  std::string suffix = "-" + std::to_string(index);
   if (dot == std::string::npos ||
       (slash != std::string::npos && dot < slash)) {
     return path + suffix;
@@ -379,8 +452,8 @@ std::string SuffixedPath(const std::string& path, size_t index) {
   return path.substr(0, dot) + suffix + path.substr(dot);
 }
 
-/// The `--apply` what-if pass shared by the single- and multi-channel run
-/// paths: each recommendation alone, then all combined, deltas vs `base`.
+/// The `--apply` what-if pass: each recommendation alone, then all
+/// combined, deltas vs `base`.
 int ApplyWhatIf(const CliArgs& args, const ExperimentConfig& cfg,
                 const PerformanceReport& base,
                 const std::vector<Recommendation>& recs) {
@@ -425,322 +498,315 @@ int ApplyWhatIf(const CliArgs& args, const ExperimentConfig& cfg,
   return 0;
 }
 
-/// Run-mode output for sharded experiments (`--channels > 1`): per-channel
-/// summaries and bottleneck attribution naming the saturated channel,
-/// whole-experiment recommendations over the aggregated per-channel
-/// metrics, and per-channel suffixed exports ("prom.txt" -> "prom-0.txt"
-/// for channel 0, each Prometheus line labeled channel="N").
-int MultiChannelRunCommand(const CliArgs& args, const ExperimentConfig& cfg,
-                           const ExperimentOutput& out) {
-  std::printf("%s\n", out.report.Summary().c_str());
+/// One experiment's analysis, shared by `run` and every sweep point.
+struct Analysis {
+  /// The shards of a sharded run, or the output itself as one channel.
+  std::vector<const ExperimentOutput*> channels;
+  std::vector<BlockchainLog> logs;            // per channel
+  std::vector<BottleneckReport> bottlenecks;  // per channel, if telemetry
+  int hottest = -1;  // channel whose top station is the most utilized
+  LogMetrics metrics;  // whole experiment
+  RecommenderOptions options;
+  std::vector<Recommendation> recs;
+};
+
+/// Extracts and measures every channel's log, aggregates the metrics when
+/// there are several channels, and recommends over the whole experiment.
+/// Evidence windows come from the saturated channel's telemetry.
+Analysis Analyze(const ExperimentOutput& out, bool autotune) {
+  Analysis a;
+  if (out.channels.empty()) a.channels.push_back(&out);
+  for (const auto& ch : out.channels) a.channels.push_back(&ch);
+  const size_t n = a.channels.size();
+  a.logs.reserve(n);
+  a.bottlenecks.resize(n);
+  std::vector<LogMetrics> per_channel;
+  per_channel.reserve(n);
+  double hottest_util = -1;
+  for (size_t c = 0; c < n; ++c) {
+    const ExperimentOutput& ch = *a.channels[c];
+    a.logs.push_back(ExtractBlockchainLog(ch.ledger));
+    per_channel.push_back(ComputeMetrics(a.logs.back(), MetricsOptions{}));
+    if (!ch.telemetry) continue;
+    a.bottlenecks[c] = ComputeBottleneckReport(*ch.telemetry, ch.sim_end_time,
+                                               &ch.fault_windows);
+    const auto* top = a.bottlenecks[c].Top();
+    if (top != nullptr && top->utilization > hottest_util) {
+      hottest_util = top->utilization;
+      a.hottest = static_cast<int>(c);
+    }
+  }
+  a.metrics =
+      n == 1 ? std::move(per_channel[0]) : AggregateMetrics(per_channel);
+  if (autotune) a.options = AutoTuneThresholds(a.metrics, a.options);
+  a.recs = Recommend(a.metrics, a.options);
+  // A single channel cites its report even when no station was sampled.
+  const int evidence = n == 1 ? 0 : a.hottest;
+  if (evidence >= 0 && a.channels[evidence]->telemetry) {
+    AttachTelemetryEvidence(a.recs, a.bottlenecks[evidence]);
+  }
+  return a;
+}
+
+/// How one experiment's exports are named and reported.
+struct ExportSpec {
+  std::string suffix;    // "" for `run`, "-<point>" for a sweep point
+  std::string title;     // HTML report title
+  HtmlSummaryRows rows;  // leading HTML summary rows
+  bool p99_row;          // whether the HTML summary lists p99 latency
+  std::string prefix;    // leads the --mine line
+  FILE* progress;        // "wrote ..." lines: stdout for run, stderr for sweep
+};
+
+/// Opens `path`, lets `write` fill it and reports it on `progress`; false
+/// after printing the error when the file cannot be opened.
+template <typename WriteFn>
+bool WriteExport(const std::string& path, const char* what, FILE* progress,
+                 WriteFn&& write) {
+  std::ofstream f(path);
+  if (!f) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
+    return false;
+  }
+  write(f);
+  std::fprintf(progress, "wrote %s: %s\n", what, path.c_str());
+  return true;
+}
+
+/// The HTML summary: `rows`, then the channel's own numbers.
+HtmlSummaryRows SummaryRows(HtmlSummaryRows rows, const ExperimentOutput& ch,
+                            bool p99_row) {
+  PerformanceReport report = ch.report;  // LatencyPercentile sorts lazily
+  char num[64];
+  std::snprintf(num, sizeof(num), "%.1f tps", report.Throughput());
+  rows.emplace_back("throughput", num);
+  std::snprintf(num, sizeof(num), "%.1f%%", 100 * report.SuccessRate());
+  rows.emplace_back("success rate", num);
+  std::snprintf(num, sizeof(num), "%.3f s", report.AvgLatency());
+  rows.emplace_back("avg latency", num);
+  if (p99_row) {
+    std::snprintf(num, sizeof(num), "%.3f s", report.LatencyPercentile(99));
+    rows.emplace_back("p99 latency", num);
+  }
+  std::snprintf(num, sizeof(num), "%.1f s", ch.sim_end_time);
+  rows.emplace_back("sim end time", num);
+  return rows;
+}
+
+/// Writes every export flag for one channel output. `channel` >= 0 labels
+/// the Prometheus lines and the metrics JSON of a sharded experiment.
+bool ExportChannel(const CliArgs& args, const ExperimentOutput& ch,
+                   const BlockchainLog& log,
+                   const BottleneckReport& bottleneck, int channel,
+                   const ExportSpec& spec) {
+  auto write = [&](const char* flag, const char* what, auto&& fn) {
+    return !args.Has(flag) ||
+           WriteExport(SuffixedPath(args.Get(flag, ""), spec.suffix), what,
+                       spec.progress, fn);
+  };
+  if (ch.telemetry) {
+    const Telemetry& t = *ch.telemetry;
+    if (!write("trace-out", "Chrome trace (open in Perfetto)",
+               [&](std::ostream& f) { t.tracer().WriteChromeTrace(f); })) {
+      return false;
+    }
+    if (!write("trace-csv", "span CSV",
+               [&](std::ostream& f) { t.tracer().WriteCsv(f); })) {
+      return false;
+    }
+    if (t.txtrace() != nullptr &&
+        !write("txtrace-out", "txtrace exemplar chains (open in Perfetto)",
+               [&](std::ostream& f) {
+                 WriteTxTraceChromeTrace(t.txtrace()->summary(), f);
+               })) {
+      return false;
+    }
+    if (!write("metrics-out", "metrics snapshot", [&](std::ostream& f) {
+          JsonValue snapshot = TelemetrySnapshotJson(t, &bottleneck);
+          if (channel >= 0) {
+            snapshot.as_object()["channel"] =
+                JsonValue(static_cast<int64_t>(channel));
+          }
+          if (ch.stream) {
+            snapshot.as_object()["stream"] = StreamStateJson(*ch.stream);
+          }
+          f << snapshot.DumpPretty();
+        })) {
+      return false;
+    }
+    if (!write("prom-out", "Prometheus exposition", [&](std::ostream& f) {
+          WritePrometheusText(t, f,
+                              channel >= 0 ? std::to_string(channel) : "");
+          if (ch.stream) AppendStreamPrometheus(*ch.stream, f);
+        })) {
+      return false;
+    }
+    if (!write("report-out", "HTML report", [&](std::ostream& f) {
+          WriteHtmlReport(
+              f, spec.title, SummaryRows(spec.rows, ch, spec.p99_row), t,
+              bottleneck,
+              ch.stream ? StreamHtmlSection(*ch.stream) : std::string());
+        })) {
+      return false;
+    }
+  }
+  if (!write("out-log", "blockchain log CSV",
+             [&](std::ostream& f) { WriteLogCsv(log, f); })) {
+    return false;
+  }
+  if (!write("out-json", "blockchain log JSON",
+             [&](std::ostream& f) { f << LogToJson(log).DumpPretty(); })) {
+    return false;
+  }
+  if (!args.Has("out-xes") && !args.Has("mine") && !args.Has("out-dot")) {
+    return true;
+  }
+  auto ev = EventLog::FromBlockchainLog(log, EventLogOptions{});
+  if (!ev.ok()) {
+    std::fprintf(stderr, "%sevent-log error: %s\n", spec.prefix.c_str(),
+                 ev.status().ToString().c_str());
+    return false;
+  }
+  if (!write("out-xes", "XES event log",
+             [&](std::ostream& f) { WriteXes(*ev, f); })) {
+    return false;
+  }
+  if (!args.Has("mine") && !args.Has("out-dot")) return true;
+  PetriNet net = AlphaMiner::Mine(ev->Traces());
+  if (args.Has("mine")) {
+    auto fit = ReplayTraces(net, ev->Traces());
+    std::fprintf(spec.progress,
+                 "%smined Petri net: %zu transitions, %zu places; fitness "
+                 "%.3f over %llu traces\n",
+                 spec.prefix.c_str(), net.num_transitions(), net.num_places(),
+                 fit.Fitness(),
+                 static_cast<unsigned long long>(fit.traces_replayed));
+  }
+  return write("out-dot", "DOT model",
+               [&](std::ostream& f) { f << PetriNetToDot(net); });
+}
+
+/// Writes every export flag for every channel of `a`. A sharded experiment
+/// suffixes each channel's paths ("m.json" -> "m-1.json" for channel 1,
+/// "m-3-1.json" at sweep point 3) and writes the merged flight-recorder
+/// view at the experiment's own path.
+bool ExportExperiment(const CliArgs& args, const Analysis& a,
+                      const ExportSpec& spec) {
+  const size_t n = a.channels.size();
+  if (n == 1) {
+    return ExportChannel(args, *a.channels[0], a.logs[0], a.bottlenecks[0],
+                         -1, spec);
+  }
+  TxTraceSummary merged;
+  bool any = false;
+  for (size_t c = 0; c < n; ++c) {
+    const ExperimentOutput& ch = *a.channels[c];
+    const std::string tag = std::to_string(c);
+    ExportSpec per = spec;
+    per.suffix += "-" + tag;
+    per.title += ": channel " + tag;
+    per.rows.emplace_back("channel", tag + " of " + std::to_string(n));
+    per.prefix += "channel " + tag + " ";
+    if (!ExportChannel(args, ch, a.logs[c], a.bottlenecks[c],
+                       static_cast<int>(c), per)) {
+      return false;
+    }
+    // The experiment-level flight-recorder view merges the channels'
+    // summaries (count-weighted quantiles, union exemplars).
+    if (!args.Has("txtrace-out") || !ch.telemetry ||
+        ch.telemetry->txtrace() == nullptr) {
+      continue;
+    }
+    if (any) {
+      merged.Merge(ch.telemetry->txtrace()->summary());
+    } else {
+      merged = ch.telemetry->txtrace()->summary();
+      any = true;
+    }
+  }
+  if (!any) return true;
+  return WriteExport(
+      SuffixedPath(args.Get("txtrace-out", ""), spec.suffix),
+      "merged txtrace exemplar chains", spec.progress,
+      [&](std::ostream& f) { WriteTxTraceChromeTrace(merged, f); });
+}
+
+/// Sharded-run overview: per-channel summaries and tails. Per-channel
+/// tails survive the merge, so a channel whose p99 is far above the
+/// pooled quantile is visible here.
+void PrintChannelSummaries(const ExperimentOutput& out, int sim_threads) {
   std::printf("per-channel breakdown (%zu channels, sim-threads=%d):\n",
-              out.channels.size(), cfg.sim_threads);
+              out.channels.size(), sim_threads);
   for (size_t c = 0; c < out.channels.size(); ++c) {
     std::printf("  channel %zu: %s\n", c,
                 out.channels[c].report.Summary().c_str());
   }
-  // Per-channel tails survive the merge (channel_tails is captured as
-  // each channel folds in), so a channel whose p99 is far above the
-  // pooled quantile is visible here.
-  if (!out.report.channel_tails().empty()) {
-    std::printf("per-channel tail latency:\n");
-    const auto& tails = out.report.channel_tails();
-    for (size_t c = 0; c < tails.size(); ++c) {
-      std::printf("  channel %zu: p50=%.3fs p95=%.3fs p99=%.3fs max=%.3fs "
-                  "(%llu successful)\n",
-                  c, tails[c].p50_s, tails[c].p95_s, tails[c].p99_s,
-                  tails[c].max_s,
-                  static_cast<unsigned long long>(tails[c].successful));
-    }
+  const auto& tails = out.report.channel_tails();
+  if (tails.empty()) return;
+  std::printf("per-channel tail latency:\n");
+  for (size_t c = 0; c < tails.size(); ++c) {
+    std::printf("  channel %zu: p50=%.3fs p95=%.3fs p99=%.3fs max=%.3fs "
+                "(%llu successful)\n",
+                c, tails[c].p50_s, tails[c].p95_s, tails[c].p99_s,
+                tails[c].max_s,
+                static_cast<unsigned long long>(tails[c].successful));
+  }
+}
+
+/// Single channel: the stage-breakdown and bottleneck tables.
+void PrintBottleneckTables(const ExperimentOutput& out,
+                           const BottleneckReport& bottleneck) {
+  if (!out.telemetry) return;
+  std::printf("per-stage latency breakdown (from lifecycle spans):\n%s\n",
+              out.report.StageBreakdownTable().c_str());
+  std::string table = FormatBottleneckTable(bottleneck);
+  if (!table.empty()) {
+    std::printf("bottleneck attribution (sampled every %.2fs):\n%s",
+                out.telemetry->sampler()->period(), table.c_str());
+  }
+  std::printf("=> %s\n\n", bottleneck.summary.c_str());
+}
+
+/// Several channels: per-channel bottleneck verdicts naming the hottest.
+void PrintHottestChannel(const Analysis& a) {
+  if (a.hottest < 0) return;
+  std::printf("bottleneck attribution by channel:\n");
+  for (size_t c = 0; c < a.channels.size(); ++c) {
+    if (!a.channels[c]->telemetry) continue;
+    std::printf("  channel %zu: %s\n", c, a.bottlenecks[c].summary.c_str());
+  }
+  const BottleneckReport& hot = a.bottlenecks[a.hottest];
+  std::printf("=> hottest channel: channel %d (%s at %.0f%% "
+              "utilization)\n\n",
+              a.hottest, hot.bottleneck_station.c_str(),
+              100 * hot.Top()->utilization);
+}
+
+/// Cross-channel hot keys: the per-channel space-saving sketches merge into
+/// one experiment-level view (summed counts, union error bounds), so a key
+/// hammered from several channels surfaces even when no single channel
+/// ranks it first.
+void PrintCrossChannelHotKeys(const Analysis& a) {
+  std::optional<SpaceSavingTopK> merged;
+  for (const ExperimentOutput* ch : a.channels) {
+    if (!ch->stream) continue;
+    if (!merged) merged.emplace(ch->stream->hot_keys().capacity());
+    merged->Merge(ch->stream->hot_keys());
+  }
+  if (!merged) return;
+  const auto entries = merged->Entries();
+  if (entries.empty()) return;
+  std::printf("cross-channel hot keys (failure-involved, merged sketch):\n");
+  const Interner& interner = GlobalKeyInterner();
+  size_t shown = 0;
+  for (const SpaceSavingTopK::Counter& c : entries) {
+    std::printf("  %-24s count<=%llu (error bound %llu)\n",
+                std::string(interner.KeyForId(c.id)).c_str(),
+                static_cast<unsigned long long>(c.count),
+                static_cast<unsigned long long>(c.error));
+    if (++shown == 8) break;
   }
   std::printf("\n");
-  if (!out.fault_windows.empty()) {
-    std::printf("injected faults (per channel):\n");
-    for (const auto& w : out.fault_windows) {
-      std::printf("  %-24s %s\n", w.name.c_str(),
-                  FormatEvidenceWindow(w.start, w.end).c_str());
-    }
-    std::printf("\n");
-  }
-
-  // Per-channel bottleneck attribution. The saturated channel is the one
-  // whose hottest station shows the highest utilization.
-  std::vector<BottleneckReport> bottlenecks(out.channels.size());
-  int hottest = -1;
-  double hottest_util = -1;
-  for (size_t c = 0; c < out.channels.size(); ++c) {
-    const auto& ch = out.channels[c];
-    if (!ch.telemetry) continue;
-    bottlenecks[c] = ComputeBottleneckReport(*ch.telemetry, ch.sim_end_time,
-                                             &ch.fault_windows);
-    const auto* top = bottlenecks[c].Top();
-    if (top != nullptr && top->utilization > hottest_util) {
-      hottest_util = top->utilization;
-      hottest = static_cast<int>(c);
-    }
-  }
-  if (hottest >= 0) {
-    std::printf("bottleneck attribution by channel:\n");
-    for (size_t c = 0; c < out.channels.size(); ++c) {
-      if (!out.channels[c].telemetry) continue;
-      std::printf("  channel %zu: %s\n", c, bottlenecks[c].summary.c_str());
-    }
-    std::printf("=> hottest channel: channel %d (%s at %.0f%% "
-                "utilization)\n\n",
-                hottest, bottlenecks[hottest].bottleneck_station.c_str(),
-                100 * hottest_util);
-  }
-  for (size_t c = 0; c < out.channels.size(); ++c) {
-    if (out.channels[c].stream) {
-      std::printf("channel %zu ", c);
-      PrintStreamSummary(*out.channels[c].stream);
-    }
-  }
-
-  // Cross-channel hot-key aggregation: the per-channel space-saving
-  // sketches merge into one experiment-level view (summed counts, union
-  // error bounds), so a key hammered from several channels at once
-  // surfaces even when no single channel ranks it first.
-  {
-    const StreamEngine* first = nullptr;
-    for (const auto& ch : out.channels) {
-      if (ch.stream) {
-        first = ch.stream.get();
-        break;
-      }
-    }
-    if (first != nullptr) {
-      SpaceSavingTopK merged(first->hot_keys().capacity());
-      for (const auto& ch : out.channels) {
-        if (ch.stream) merged.Merge(ch.stream->hot_keys());
-      }
-      const auto entries = merged.Entries();
-      if (!entries.empty()) {
-        std::printf("cross-channel hot keys (failure-involved, merged "
-                    "sketch):\n");
-        const Interner& interner = GlobalKeyInterner();
-        size_t shown = 0;
-        for (const SpaceSavingTopK::Counter& c : entries) {
-          std::printf("  %-24s count<=%llu (error bound %llu)\n",
-                      std::string(interner.KeyForId(c.id)).c_str(),
-                      static_cast<unsigned long long>(c.count),
-                      static_cast<unsigned long long>(c.error));
-          if (++shown == 8) break;
-        }
-        std::printf("\n");
-      }
-    }
-  }
-
-  // Whole-experiment recommendations: per-channel logs are analyzed
-  // independently, then merged into one experiment-level LogMetrics.
-  std::vector<BlockchainLog> logs;
-  std::vector<LogMetrics> per_channel;
-  logs.reserve(out.channels.size());
-  per_channel.reserve(out.channels.size());
-  for (const auto& ch : out.channels) {
-    logs.push_back(ExtractBlockchainLog(ch.ledger));
-    per_channel.push_back(ComputeMetrics(logs.back(), MetricsOptions{}));
-  }
-  LogMetrics metrics = AggregateMetrics(per_channel);
-  RecommenderOptions options;
-  if (args.Has("autotune")) {
-    options = AutoTuneThresholds(metrics, options);
-    std::printf("auto-tuned thresholds: Rt1=%.0f Et=%.2f It=%.2f\n\n",
-                options.rt1, options.et, options.it);
-  }
-  auto recs = Recommend(metrics, options);
-  if (hottest >= 0) {
-    // Evidence windows come from the saturated channel's telemetry.
-    AttachTelemetryEvidence(recs, bottlenecks[hottest]);
-  }
-  std::printf("%s\n", FormatRecommendationReport(metrics, recs).c_str());
-
-  // ---- per-channel exports (path -> path-<channel>) --------------------
-  for (size_t c = 0; c < out.channels.size(); ++c) {
-    const auto& ch = out.channels[c];
-    const std::string tag = std::to_string(c);
-    if (ch.telemetry) {
-      if (args.Has("trace-out")) {
-        std::string path = SuffixedPath(args.Get("trace-out", ""), c);
-        std::ofstream f(path);
-        if (!f) {
-          std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-          return 1;
-        }
-        ch.telemetry->tracer().WriteChromeTrace(f);
-        std::printf("wrote Chrome trace (open in Perfetto): %s\n",
-                    path.c_str());
-      }
-      if (args.Has("trace-csv")) {
-        std::string path = SuffixedPath(args.Get("trace-csv", ""), c);
-        std::ofstream f(path);
-        if (!f) {
-          std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-          return 1;
-        }
-        ch.telemetry->tracer().WriteCsv(f);
-        std::printf("wrote span CSV: %s\n", path.c_str());
-      }
-      if (args.Has("txtrace-out") && ch.telemetry->txtrace() != nullptr) {
-        std::string path = SuffixedPath(args.Get("txtrace-out", ""), c);
-        std::ofstream f(path);
-        if (!f) {
-          std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-          return 1;
-        }
-        WriteTxTraceChromeTrace(ch.telemetry->txtrace()->summary(), f);
-        std::printf("wrote txtrace exemplar chains: %s\n", path.c_str());
-      }
-      if (args.Has("metrics-out")) {
-        std::string path = SuffixedPath(args.Get("metrics-out", ""), c);
-        JsonValue snapshot =
-            TelemetrySnapshotJson(*ch.telemetry, &bottlenecks[c]);
-        snapshot.as_object()["channel"] =
-            JsonValue(static_cast<int64_t>(c));
-        if (ch.stream) {
-          snapshot.as_object()["stream"] = StreamStateJson(*ch.stream);
-        }
-        Status st = WriteFileOrFail(path, snapshot.DumpPretty());
-        if (!st.ok()) {
-          std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-          return 1;
-        }
-        std::printf("wrote metrics snapshot: %s\n", path.c_str());
-      }
-      if (args.Has("prom-out")) {
-        std::string path = SuffixedPath(args.Get("prom-out", ""), c);
-        std::ofstream f(path);
-        if (!f) {
-          std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-          return 1;
-        }
-        WritePrometheusText(*ch.telemetry, f, tag);
-        if (ch.stream) AppendStreamPrometheus(*ch.stream, f);
-        std::printf("wrote Prometheus exposition: %s\n", path.c_str());
-      }
-      if (args.Has("report-out")) {
-        std::string path = SuffixedPath(args.Get("report-out", ""), c);
-        std::ofstream f(path);
-        if (!f) {
-          std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-          return 1;
-        }
-        char num[64];
-        HtmlSummaryRows rows;
-        rows.emplace_back("channel",
-                          tag + " of " + std::to_string(out.channels.size()));
-        std::snprintf(num, sizeof(num), "%.1f tps",
-                      ch.report.Throughput());
-        rows.emplace_back("throughput", num);
-        std::snprintf(num, sizeof(num), "%.1f%%",
-                      100 * ch.report.SuccessRate());
-        rows.emplace_back("success rate", num);
-        std::snprintf(num, sizeof(num), "%.3f s", ch.report.AvgLatency());
-        rows.emplace_back("avg latency", num);
-        if (c < out.report.channel_tails().size()) {
-          std::snprintf(num, sizeof(num), "%.3f s",
-                        out.report.channel_tails()[c].p99_s);
-          rows.emplace_back("p99 latency", num);
-        }
-        std::snprintf(num, sizeof(num), "%.1f s", ch.sim_end_time);
-        rows.emplace_back("sim end time", num);
-        WriteHtmlReport(f, "BlockOptR run report: channel " + tag, rows,
-                        *ch.telemetry, bottlenecks[c],
-                        ch.stream ? StreamHtmlSection(*ch.stream)
-                                  : std::string());
-        std::printf("wrote HTML report: %s\n", path.c_str());
-      }
-    }
-    if (args.Has("out-log")) {
-      std::string path = SuffixedPath(args.Get("out-log", ""), c);
-      std::ofstream f(path);
-      if (!f) {
-        std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-        return 1;
-      }
-      WriteLogCsv(logs[c], f);
-      std::printf("wrote blockchain log CSV: %s\n", path.c_str());
-    }
-    if (args.Has("out-json")) {
-      std::string path = SuffixedPath(args.Get("out-json", ""), c);
-      Status st = WriteFileOrFail(path, LogToJson(logs[c]).DumpPretty());
-      if (!st.ok()) {
-        std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-        return 1;
-      }
-      std::printf("wrote blockchain log JSON: %s\n", path.c_str());
-    }
-    if (args.Has("out-xes") || args.Has("mine") || args.Has("out-dot")) {
-      auto ev = EventLog::FromBlockchainLog(logs[c], EventLogOptions{});
-      if (!ev.ok()) {
-        std::fprintf(stderr, "event-log error (channel %zu): %s\n", c,
-                     ev.status().ToString().c_str());
-        return 1;
-      }
-      if (args.Has("out-xes")) {
-        std::string path = SuffixedPath(args.Get("out-xes", ""), c);
-        std::ofstream f(path);
-        if (!f) {
-          std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-          return 1;
-        }
-        WriteXes(*ev, f);
-        std::printf("wrote XES event log: %s\n", path.c_str());
-      }
-      if (args.Has("mine") || args.Has("out-dot")) {
-        PetriNet net = AlphaMiner::Mine(ev->Traces());
-        if (args.Has("mine")) {
-          auto fit = ReplayTraces(net, ev->Traces());
-          std::printf("channel %zu mined Petri net: %zu transitions, "
-                      "%zu places; fitness %.3f over %llu traces\n",
-                      c, net.num_transitions(), net.num_places(),
-                      fit.Fitness(),
-                      static_cast<unsigned long long>(fit.traces_replayed));
-        }
-        if (args.Has("out-dot")) {
-          std::string path = SuffixedPath(args.Get("out-dot", ""), c);
-          Status st = WriteFileOrFail(path, PetriNetToDot(net));
-          if (!st.ok()) {
-            std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-            return 1;
-          }
-          std::printf("wrote DOT model: %s\n", path.c_str());
-        }
-      }
-    }
-  }
-
-  // Experiment-level flight-recorder view: the per-channel summaries merge
-  // into one (count-weighted quantiles, union exemplars), written at the
-  // unsuffixed path alongside the per-channel dumps.
-  if (args.Has("txtrace-out")) {
-    TxTraceSummary merged;
-    bool any = false;
-    for (const auto& ch : out.channels) {
-      if (!ch.telemetry || ch.telemetry->txtrace() == nullptr) continue;
-      if (!any) {
-        merged = ch.telemetry->txtrace()->summary();
-        any = true;
-      } else {
-        merged.Merge(ch.telemetry->txtrace()->summary());
-      }
-    }
-    if (any) {
-      const std::string path = args.Get("txtrace-out", "");
-      std::ofstream f(path);
-      if (!f) {
-        std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-        return 1;
-      }
-      WriteTxTraceChromeTrace(merged, f);
-      std::printf("wrote merged txtrace exemplar chains: %s\n",
-                  path.c_str());
-    }
-  }
-
-  if (args.Has("apply")) return ApplyWhatIf(args, cfg, out.report, recs);
-  return 0;
 }
 
 int RunCommand(const CliArgs& args) {
@@ -761,195 +827,46 @@ int RunCommand(const CliArgs& args) {
     std::fprintf(stderr, "error: %s\n", out.status().ToString().c_str());
     return 1;
   }
-  if (!out->channels.empty()) {
-    return MultiChannelRunCommand(args, *cfg, *out);
-  }
-  std::printf("%s\n\n", out->report.Summary().c_str());
+  const Analysis a = Analyze(*out, args.Has("autotune"));
+  const size_t n = a.channels.size();
+
+  std::printf("%s\n", out->report.Summary().c_str());
+  if (n > 1) PrintChannelSummaries(*out, cfg->sim_threads);
+  std::printf("\n");
   if (!out->fault_windows.empty()) {
-    std::printf("injected faults:\n");
+    std::printf(n > 1 ? "injected faults (per channel):\n"
+                      : "injected faults:\n");
     for (const auto& w : out->fault_windows) {
       std::printf("  %-24s %s\n", w.name.c_str(),
                   FormatEvidenceWindow(w.start, w.end).c_str());
     }
     std::printf("\n");
   }
-  std::optional<BottleneckReport> bottleneck;
-  if (out->telemetry) {
-    std::printf("per-stage latency breakdown (from lifecycle spans):\n%s\n",
-                out->report.StageBreakdownTable().c_str());
-    bottleneck = ComputeBottleneckReport(*out->telemetry, out->sim_end_time,
-                                         &out->fault_windows);
-    std::string table = FormatBottleneckTable(*bottleneck);
-    if (!table.empty()) {
-      std::printf("bottleneck attribution (sampled every %.2fs):\n%s",
-                  out->telemetry->sampler()->period(), table.c_str());
-    }
-    std::printf("=> %s\n\n", bottleneck->summary.c_str());
+  if (n == 1) {
+    PrintBottleneckTables(*out, a.bottlenecks[0]);
+  } else {
+    PrintHottestChannel(a);
   }
-  if (out->stream) PrintStreamSummary(*out->stream);
-
-  BlockchainLog log = ExtractBlockchainLog(out->ledger);
-  LogMetrics metrics = ComputeMetrics(log, MetricsOptions{});
-  RecommenderOptions options;
+  for (size_t c = 0; c < n; ++c) {
+    if (!a.channels[c]->stream) continue;
+    if (n > 1) std::printf("channel %zu ", c);
+    PrintStreamSummary(*a.channels[c]->stream);
+  }
+  if (n > 1) PrintCrossChannelHotKeys(a);
   if (args.Has("autotune")) {
-    options = AutoTuneThresholds(metrics, options);
     std::printf("auto-tuned thresholds: Rt1=%.0f Et=%.2f It=%.2f\n\n",
-                options.rt1, options.et, options.it);
+                a.options.rt1, a.options.et, a.options.it);
   }
-  auto recs = Recommend(metrics, options);
-  if (bottleneck) {
-    // Every recommendation cites its observed evidence window.
-    AttachTelemetryEvidence(recs, *bottleneck);
-  }
-  std::printf("%s\n", FormatRecommendationReport(metrics, recs).c_str());
+  std::printf("%s\n", FormatRecommendationReport(a.metrics, a.recs).c_str());
 
-  // ---- exports ---------------------------------------------------------
-  if (args.Has("trace-out")) {
-    std::ofstream f(args.Get("trace-out", ""));
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write --trace-out\n");
-      return 1;
-    }
-    out->telemetry->tracer().WriteChromeTrace(f);
-    std::printf("wrote Chrome trace (open in Perfetto): %s\n",
-                args.Get("trace-out", "").c_str());
+  HtmlSummaryRows rows;
+  if (n == 1) {
+    rows.emplace_back("transactions", std::to_string(cfg->schedule.size()));
   }
-  if (args.Has("trace-csv")) {
-    std::ofstream f(args.Get("trace-csv", ""));
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write --trace-csv\n");
-      return 1;
-    }
-    out->telemetry->tracer().WriteCsv(f);
-    std::printf("wrote span CSV: %s\n", args.Get("trace-csv", "").c_str());
-  }
-  if (args.Has("txtrace-out") && out->telemetry->txtrace() != nullptr) {
-    std::ofstream f(args.Get("txtrace-out", ""));
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write --txtrace-out\n");
-      return 1;
-    }
-    WriteTxTraceChromeTrace(out->telemetry->txtrace()->summary(), f);
-    std::printf("wrote txtrace exemplar chains (open in Perfetto): %s\n",
-                args.Get("txtrace-out", "").c_str());
-  }
-  if (args.Has("metrics-out")) {
-    JsonValue snapshot = TelemetrySnapshotJson(
-        *out->telemetry, bottleneck ? &*bottleneck : nullptr);
-    if (out->stream) {
-      snapshot.as_object()["stream"] = StreamStateJson(*out->stream);
-    }
-    Status st =
-        WriteFileOrFail(args.Get("metrics-out", ""), snapshot.DumpPretty());
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote metrics snapshot: %s\n",
-                args.Get("metrics-out", "").c_str());
-  }
-  if (args.Has("prom-out")) {
-    std::ofstream f(args.Get("prom-out", ""));
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write --prom-out\n");
-      return 1;
-    }
-    WritePrometheusText(*out->telemetry, f);
-    if (out->stream) AppendStreamPrometheus(*out->stream, f);
-    std::printf("wrote Prometheus exposition: %s\n",
-                args.Get("prom-out", "").c_str());
-  }
-  if (args.Has("report-out")) {
-    std::ofstream f(args.Get("report-out", ""));
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write --report-out\n");
-      return 1;
-    }
-    char num[64];
-    HtmlSummaryRows rows;
-    std::snprintf(num, sizeof(num), "%zu", cfg->schedule.size());
-    rows.emplace_back("transactions", num);
-    std::snprintf(num, sizeof(num), "%.1f tps",
-                  out->report.Throughput());
-    rows.emplace_back("throughput", num);
-    std::snprintf(num, sizeof(num), "%.1f%%",
-                  100 * out->report.SuccessRate());
-    rows.emplace_back("success rate", num);
-    std::snprintf(num, sizeof(num), "%.3f s", out->report.AvgLatency());
-    rows.emplace_back("avg latency", num);
-    std::snprintf(num, sizeof(num), "%.3f s",
-                  out->report.LatencyPercentile(99));
-    rows.emplace_back("p99 latency", num);
-    std::snprintf(num, sizeof(num), "%.1f s", out->sim_end_time);
-    rows.emplace_back("sim end time", num);
-    WriteHtmlReport(f, "BlockOptR run report", rows, *out->telemetry,
-                    *bottleneck,
-                    out->stream ? StreamHtmlSection(*out->stream)
-                                : std::string());
-    std::printf("wrote HTML report: %s\n",
-                args.Get("report-out", "").c_str());
-  }
-  if (args.Has("out-log")) {
-    std::ofstream f(args.Get("out-log", ""));
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write --out-log\n");
-      return 1;
-    }
-    WriteLogCsv(log, f);
-    std::printf("wrote blockchain log CSV: %s\n",
-                args.Get("out-log", "").c_str());
-  }
-  if (args.Has("out-json")) {
-    Status st = WriteFileOrFail(args.Get("out-json", ""),
-                                LogToJson(log).DumpPretty());
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote blockchain log JSON: %s\n",
-                args.Get("out-json", "").c_str());
-  }
-
-  std::optional<EventLog> events;
-  if (args.Has("out-xes") || args.Has("mine") || args.Has("out-dot")) {
-    auto ev = EventLog::FromBlockchainLog(log, EventLogOptions{});
-    if (!ev.ok()) {
-      std::fprintf(stderr, "event-log error: %s\n",
-                   ev.status().ToString().c_str());
-      return 1;
-    }
-    events = std::move(*ev);
-  }
-  if (args.Has("out-xes")) {
-    std::ofstream f(args.Get("out-xes", ""));
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write --out-xes\n");
-      return 1;
-    }
-    WriteXes(*events, f);
-    std::printf("wrote XES event log: %s\n", args.Get("out-xes", "").c_str());
-  }
-  if (args.Has("mine") || args.Has("out-dot")) {
-    PetriNet net = AlphaMiner::Mine(events->Traces());
-    if (args.Has("mine")) {
-      auto fit = ReplayTraces(net, events->Traces());
-      std::printf("mined Petri net: %zu transitions, %zu places; fitness "
-                  "%.3f over %llu traces\n",
-                  net.num_transitions(), net.num_places(), fit.Fitness(),
-                  static_cast<unsigned long long>(fit.traces_replayed));
-    }
-    if (args.Has("out-dot")) {
-      Status st = WriteFileOrFail(args.Get("out-dot", ""), PetriNetToDot(net));
-      if (!st.ok()) {
-        std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-        return 1;
-      }
-      std::printf("wrote DOT model: %s\n", args.Get("out-dot", "").c_str());
-    }
-  }
-
-  // ---- apply: per-recommendation what-if + combined rerun --------------
-  if (args.Has("apply")) return ApplyWhatIf(args, *cfg, out->report, recs);
+  const ExportSpec spec{"", "BlockOptR run report", rows, /*p99_row=*/true,
+                        "", stdout};
+  if (!ExportExperiment(args, a, spec)) return 1;
+  if (args.Has("apply")) return ApplyWhatIf(args, *cfg, out->report, a.recs);
   return 0;
 }
 
@@ -1043,115 +960,23 @@ int SweepCommand(const CliArgs& args) {
                    outputs[i].status().ToString().c_str());
       return 1;
     }
+    const Analysis a = Analyze(*outputs[i], /*autotune=*/false);
     const auto& report = outputs[i]->report;
-    std::vector<Recommendation> recs;
-    if (!outputs[i]->channels.empty()) {
-      // Sharded case: aggregate the per-channel logs into one
-      // experiment-level LogMetrics before recommending.
-      std::vector<LogMetrics> per_channel;
-      per_channel.reserve(outputs[i]->channels.size());
-      for (const auto& ch : outputs[i]->channels) {
-        per_channel.push_back(
-            ComputeMetrics(ExtractBlockchainLog(ch.ledger), MetricsOptions{}));
-      }
-      recs = Recommend(AggregateMetrics(per_channel), RecommenderOptions{});
-    } else {
-      recs = RecommendFromLog(ExtractBlockchainLog(outputs[i]->ledger),
-                              RecommenderOptions{});
-    }
-    std::printf("%-28s %10.1f %8.1f%% %11.3f  %s\n",
-                (*cases)[i].label.c_str(), report.Throughput(),
-                100 * report.SuccessRate(), report.AvgLatency(),
-                RecommendationNames(recs).c_str());
-    // Per-point observability exports ("metrics.json" -> "metrics-3.json"
-    // for point 3). Progress lines go to stderr so stdout stays diffable.
-    if (outputs[i]->telemetry != nullptr) {
-      if (args.Has("trace-out")) {
-        std::string path = SuffixedPath(args.Get("trace-out", ""), i + 1);
-        std::ofstream f(path);
-        if (!f) {
-          std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-          return 1;
-        }
-        outputs[i]->telemetry->tracer().WriteChromeTrace(f);
-        std::fprintf(stderr, "wrote Chrome trace: %s\n", path.c_str());
-      }
-      if (args.Has("txtrace-out") &&
-          outputs[i]->telemetry->txtrace() != nullptr) {
-        std::string path = SuffixedPath(args.Get("txtrace-out", ""), i + 1);
-        std::ofstream f(path);
-        if (!f) {
-          std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-          return 1;
-        }
-        WriteTxTraceChromeTrace(outputs[i]->telemetry->txtrace()->summary(),
-                                f);
-        std::fprintf(stderr, "wrote txtrace exemplar chains: %s\n",
-                     path.c_str());
-      }
-      if (args.Has("metrics-out")) {
-        std::string path = SuffixedPath(args.Get("metrics-out", ""), i + 1);
-        BottleneckReport bottleneck = ComputeBottleneckReport(
-            *outputs[i]->telemetry, outputs[i]->sim_end_time,
-            &outputs[i]->fault_windows);
-        JsonValue snapshot =
-            TelemetrySnapshotJson(*outputs[i]->telemetry, &bottleneck);
-        if (outputs[i]->stream) {
-          snapshot.as_object()["stream"] =
-              StreamStateJson(*outputs[i]->stream);
-        }
-        Status st = WriteFileOrFail(path, snapshot.DumpPretty());
-        if (!st.ok()) {
-          std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-          return 1;
-        }
-        std::fprintf(stderr, "wrote metrics snapshot: %s\n", path.c_str());
-      }
-      if (args.Has("prom-out")) {
-        std::string path = SuffixedPath(args.Get("prom-out", ""), i + 1);
-        std::ofstream f(path);
-        if (!f) {
-          std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-          return 1;
-        }
-        WritePrometheusText(*outputs[i]->telemetry, f);
-        if (outputs[i]->stream) {
-          AppendStreamPrometheus(*outputs[i]->stream, f);
-        }
-        std::fprintf(stderr, "wrote Prometheus exposition: %s\n",
-                     path.c_str());
-      }
-      if (args.Has("report-out")) {
-        std::string path = SuffixedPath(args.Get("report-out", ""), i + 1);
-        std::ofstream f(path);
-        if (!f) {
-          std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-          return 1;
-        }
-        BottleneckReport bottleneck = ComputeBottleneckReport(
-            *outputs[i]->telemetry, outputs[i]->sim_end_time,
-            &outputs[i]->fault_windows);
-        char num[64];
-        HtmlSummaryRows rows;
-        rows.emplace_back("experiment", (*cases)[i].label);
-        std::snprintf(num, sizeof(num), "%.1f tps", report.Throughput());
-        rows.emplace_back("throughput", num);
-        std::snprintf(num, sizeof(num), "%.1f%%",
-                      100 * report.SuccessRate());
-        rows.emplace_back("success rate", num);
-        std::snprintf(num, sizeof(num), "%.3f s", report.AvgLatency());
-        rows.emplace_back("avg latency", num);
-        std::snprintf(num, sizeof(num), "%.1f s",
-                      outputs[i]->sim_end_time);
-        rows.emplace_back("sim end time", num);
-        WriteHtmlReport(f, "BlockOptR sweep: " + (*cases)[i].label, rows,
-                        *outputs[i]->telemetry, bottleneck,
-                        outputs[i]->stream
-                            ? StreamHtmlSection(*outputs[i]->stream)
-                            : std::string());
-        std::fprintf(stderr, "wrote HTML report: %s\n", path.c_str());
-      }
-    }
+    const std::string& label = (*cases)[i].label;
+    std::printf("%-28s %10.1f %8.1f%% %11.3f  %s\n", label.c_str(),
+                report.Throughput(), 100 * report.SuccessRate(),
+                report.AvgLatency(), RecommendationNames(a.recs).c_str());
+    // Per-point exports ("metrics.json" -> "metrics-3.json" for point 3,
+    // "metrics-3-1.json" for its channel 1). Progress lines go to stderr
+    // so stdout stays diffable.
+    const std::string point = std::to_string(i + 1);
+    const ExportSpec spec{"-" + point,
+                          "BlockOptR sweep: " + label,
+                          {{"experiment", label}},
+                          /*p99_row=*/false,
+                          "point " + point + ": ",
+                          stderr};
+    if (!ExportExperiment(args, a, spec)) return 1;
   }
   return 0;
 }
@@ -1176,6 +1001,7 @@ int Main(int argc, char** argv) {
       args.flags[arg.substr(0, eq)] = arg.substr(eq + 1);
     }
   }
+  if (!ValidateNumericFlags(args)) return 1;
   if (std::strcmp(argv[1], "sweep") == 0) return SweepCommand(args);
   return RunCommand(args);
 }
