@@ -1,24 +1,12 @@
 #include "blockopt/log/export.h"
 
+#include <charconv>
+
 #include "common/csv.h"
-#include "common/string_util.h"
 
 namespace blockoptr {
 
 namespace {
-
-std::string JoinPairs(
-    const std::vector<std::pair<std::string, std::string>>& pairs,
-    char inner, char outer) {
-  std::string out;
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    if (i > 0) out += outer;
-    out += pairs[i].first;
-    out += inner;
-    out += pairs[i].second;
-  }
-  return out;
-}
 
 TxStatus StatusFromName(const std::string& name) {
   if (name == "VALID") return TxStatus::kValid;
@@ -57,71 +45,119 @@ std::vector<std::string> StringsFromJson(const JsonValue& v) {
 }  // namespace
 
 void WriteLogCsv(const BlockchainLog& log, std::ostream& out) {
-  CsvWriter writer(out);
-  writer.WriteRow({"commit_order", "client_timestamp", "activity", "args",
-                   "endorsers", "invoker_client", "invoker_org", "read_keys",
-                   "writes", "delete_keys", "status", "tx_type", "chaincode",
-                   "block_num", "tx_pos", "commit_timestamp"});
+  CsvWriter(out).WriteRow(
+      {"commit_order", "client_timestamp", "activity", "args", "endorsers",
+       "invoker_client", "invoker_org", "read_keys", "writes", "delete_keys",
+       "status", "tx_type", "chaincode", "block_num", "tx_pos",
+       "commit_timestamp"});
+  // Rows are formatted into one reused buffer and written in chunks;
+  // `joined` is the reused scratch for the '|'-joined fields, which are
+  // escaped as a whole like any other field.
+  constexpr size_t kChunk = 1 << 16;
+  std::string buf;
+  buf.reserve(kChunk + 1024);
+  std::string joined;
+  auto field = [&](std::string_view f) {
+    CsvWriter::AppendField(buf, f);
+    buf += ',';
+  };
+  auto list = [&](const std::vector<std::string>& parts) {
+    joined.clear();
+    for (size_t i = 0; i < parts.size(); ++i) {
+      if (i > 0) joined += '|';
+      joined += parts[i];
+    }
+    field(joined);
+  };
+  auto number = [&](auto v) {
+    char tmp[24];
+    buf.append(tmp, std::to_chars(tmp, tmp + sizeof(tmp), v).ptr);
+    buf += ',';
+  };
+  // Fixed six decimals, as printf's %.6f; the buffer fits DBL_MAX.
+  auto fixed6 = [&](double v) {
+    char tmp[384];
+    buf.append(tmp, std::to_chars(tmp, tmp + sizeof(tmp), v,
+                                  std::chars_format::fixed, 6)
+                        .ptr);
+  };
   for (const auto& e : log.entries()) {
-    std::vector<std::string> endorsers = e.endorsers;
-    writer.WriteRow({
-        std::to_string(e.commit_order),
-        FormatDouble(e.client_timestamp, 6),
-        e.activity,
-        Join(e.args, "|"),
-        Join(endorsers, "|"),
-        e.invoker_client,
-        e.invoker_org,
-        Join(e.read_keys, "|"),
-        JoinPairs(e.writes, '=', '|'),
-        Join(e.delete_keys, "|"),
-        std::string(TxStatusName(e.status)),
-        std::string(TxTypeName(e.tx_type)),
-        e.chaincode,
-        std::to_string(e.block_num),
-        std::to_string(e.tx_pos),
-        FormatDouble(e.commit_timestamp, 6),
-    });
+    number(e.commit_order);
+    fixed6(e.client_timestamp);
+    buf += ',';
+    field(e.activity);
+    list(e.args);
+    list(e.endorsers);
+    field(e.invoker_client);
+    field(e.invoker_org);
+    list(e.read_keys);
+    joined.clear();
+    for (size_t i = 0; i < e.writes.size(); ++i) {
+      if (i > 0) joined += '|';
+      joined += e.writes[i].first;
+      joined += '=';
+      joined += e.writes[i].second;
+    }
+    field(joined);
+    list(e.delete_keys);
+    field(TxStatusName(e.status));
+    field(TxTypeName(e.tx_type));
+    field(e.chaincode);
+    number(e.block_num);
+    number(e.tx_pos);
+    fixed6(e.commit_timestamp);
+    buf += '\n';
+    if (buf.size() >= kChunk) {
+      out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+      buf.clear();
+    }
   }
+  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
 JsonValue LogToJson(const BlockchainLog& log) {
   JsonValue::Array rows;
   rows.reserve(log.size());
   for (const auto& e : log.entries()) {
+    // Fields in key order, so every insertion appends.
     JsonValue::Object row;
-    row["commit_order"] = JsonValue(e.commit_order);
-    row["client_timestamp"] = JsonValue(e.client_timestamp);
+    row.reserve(18);
     row["activity"] = JsonValue(e.activity);
     row["args"] = JsonValue(StringsToJson(e.args));
+    row["block_num"] = JsonValue(e.block_num);
+    row["chaincode"] = JsonValue(e.chaincode);
+    row["client_timestamp"] = JsonValue(e.client_timestamp);
+    row["commit_order"] = JsonValue(e.commit_order);
+    row["commit_timestamp"] = JsonValue(e.commit_timestamp);
+    row["delete_keys"] = JsonValue(StringsToJson(e.delete_keys));
     row["endorsers"] = JsonValue(StringsToJson(e.endorsers));
     row["invoker_client"] = JsonValue(e.invoker_client);
     row["invoker_org"] = JsonValue(e.invoker_org);
+    JsonValue::Array ranges;
+    ranges.reserve(e.range_bounds.size());
+    for (const auto& [s, t] : e.range_bounds) {
+      JsonValue::Object r;
+      r.reserve(2);
+      r["end"] = JsonValue(t);
+      r["start"] = JsonValue(s);
+      ranges.emplace_back(std::move(r));
+    }
+    row["range_bounds"] = JsonValue(std::move(ranges));
     row["read_keys"] = JsonValue(StringsToJson(e.read_keys));
+    row["status"] = JsonValue(std::string(TxStatusName(e.status)));
+    row["tx_id"] = JsonValue(e.tx_id);
+    row["tx_pos"] = JsonValue(static_cast<uint64_t>(e.tx_pos));
+    row["tx_type"] = JsonValue(std::string(TxTypeName(e.tx_type)));
     JsonValue::Array writes;
+    writes.reserve(e.writes.size());
     for (const auto& [k, v] : e.writes) {
       JsonValue::Object w;
+      w.reserve(2);
       w["key"] = JsonValue(k);
       w["value"] = JsonValue(v);
       writes.emplace_back(std::move(w));
     }
     row["writes"] = JsonValue(std::move(writes));
-    row["delete_keys"] = JsonValue(StringsToJson(e.delete_keys));
-    JsonValue::Array ranges;
-    for (const auto& [s, t] : e.range_bounds) {
-      JsonValue::Object r;
-      r["start"] = JsonValue(s);
-      r["end"] = JsonValue(t);
-      ranges.emplace_back(std::move(r));
-    }
-    row["range_bounds"] = JsonValue(std::move(ranges));
-    row["status"] = JsonValue(std::string(TxStatusName(e.status)));
-    row["tx_type"] = JsonValue(std::string(TxTypeName(e.tx_type)));
-    row["chaincode"] = JsonValue(e.chaincode);
-    row["tx_id"] = JsonValue(e.tx_id);
-    row["block_num"] = JsonValue(e.block_num);
-    row["tx_pos"] = JsonValue(static_cast<uint64_t>(e.tx_pos));
-    row["commit_timestamp"] = JsonValue(e.commit_timestamp);
     rows.emplace_back(std::move(row));
   }
   JsonValue::Object doc;

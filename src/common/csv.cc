@@ -11,6 +11,12 @@ void CsvWriter::WriteRow(const std::vector<std::string>& fields) {
 }
 
 std::string CsvWriter::EscapeField(std::string_view field) {
+  std::string out;
+  AppendField(out, field);
+  return out;
+}
+
+void CsvWriter::AppendField(std::string& out, std::string_view field) {
   bool needs_quotes = false;
   for (char c : field) {
     if (c == ',' || c == '"' || c == '\n' || c == '\r') {
@@ -18,14 +24,16 @@ std::string CsvWriter::EscapeField(std::string_view field) {
       break;
     }
   }
-  if (!needs_quotes) return std::string(field);
-  std::string out = "\"";
+  if (!needs_quotes) {
+    out += field;
+    return;
+  }
+  out += '"';
   for (char c : field) {
     if (c == '"') out += "\"\"";
     else out += c;
   }
   out += '"';
-  return out;
 }
 
 Result<std::vector<std::vector<std::string>>> CsvReader::ParseDocument(

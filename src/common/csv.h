@@ -28,6 +28,11 @@ class CsvWriter {
   /// Escapes one field per RFC 4180 (exposed for testing).
   static std::string EscapeField(std::string_view field);
 
+  /// Appends one field to `out`, escaped per RFC 4180: the one escaper
+  /// behind WriteRow and EscapeField, for exporters that format whole
+  /// rows into their own buffer.
+  static void AppendField(std::string& out, std::string_view field);
+
  private:
   std::ostream& out_;
 };

@@ -1,8 +1,12 @@
 #include "common/json.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <iterator>
 
 namespace blockoptr {
 
@@ -12,6 +16,11 @@ const JsonValue& NullValue() {
   static const JsonValue* kNull = new JsonValue(nullptr);
   return *kNull;
 }
+
+/// Deepest array/object nesting Parse accepts. Each level is a few stack
+/// frames of recursive descent; the cap keeps hostile input such as 100k
+/// opening brackets an InvalidArgument instead of a stack overflow.
+constexpr int kMaxDepth = 512;
 
 /// Recursive-descent JSON parser over a string_view cursor.
 class Parser {
@@ -149,7 +158,17 @@ class Parser {
     return Fail("unterminated string");
   }
 
+  /// Counts one level of nesting for the lifetime of a ParseArray or
+  /// ParseObject call.
+  struct DepthGuard {
+    explicit DepthGuard(int& depth) : depth_(depth) { ++depth_; }
+    ~DepthGuard() { --depth_; }
+    int& depth_;
+  };
+
   Result<JsonValue> ParseArray() {
+    DepthGuard guard(depth_);
+    if (depth_ > kMaxDepth) return Fail("nesting too deep");
     Consume('[');
     JsonValue::Array arr;
     SkipWs();
@@ -165,11 +184,18 @@ class Parser {
     }
   }
 
+  /// Collects the members in document order and sorts them once at the
+  /// end, so unsorted or large objects cost O(n log n).
   Result<JsonValue> ParseObject() {
+    DepthGuard guard(depth_);
+    if (depth_ > kMaxDepth) return Fail("nesting too deep");
     Consume('{');
-    JsonValue::Object obj;
+    std::vector<JsonValue::Object::value_type> members;
+    auto done = [&] {
+      return JsonValue(JsonValue::Object(std::move(members)));
+    };
     SkipWs();
-    if (Consume('}')) return JsonValue(std::move(obj));
+    if (Consume('}')) return done();
     for (;;) {
       SkipWs();
       auto key = ParseString();
@@ -179,30 +205,213 @@ class Parser {
       SkipWs();
       auto v = ParseValue();
       if (!v.ok()) return v;
-      obj[std::move(*key)] = std::move(*v);
+      members.emplace_back(std::move(*key), std::move(*v));
       SkipWs();
-      if (Consume('}')) return JsonValue(std::move(obj));
+      if (Consume('}')) return done();
       if (!Consume(',')) return Fail("expected ',' or '}' in object");
     }
   }
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
-void AppendNumber(std::string& out, double d) {
-  if (d == std::floor(d) && std::abs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
-    out += buf;
+/// Appends to a string through a raw cursor. The string is grown in
+/// zero-filled steps ahead of the cursor and trimmed to the bytes written
+/// when the writer goes away, so each write is one room check and a copy
+/// instead of a std::string append.
+class Writer {
+ public:
+  explicit Writer(std::string& out) : out_(out), size_(out.size()) {}
+  ~Writer() { out_.resize(size_); }
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
+
+  /// A cursor with room for `n` more bytes; hand the end of what was
+  /// written to Commit.
+  char* Room(size_t n) {
+    if (out_.size() - size_ < n) Grow(n);
+    return out_.data() + size_;
+  }
+  void Commit(const char* end) {
+    size_ = static_cast<size_t>(end - out_.data());
+  }
+
+  void Put(std::string_view s) {
+    char* p = Room(s.size());
+    std::memcpy(p, s.data(), s.size());
+    Commit(p + s.size());
+  }
+
+  /// A newline and `spaces` of indentation.
+  void Newline(size_t spaces) {
+    char* p = Room(spaces + 1);
+    *p++ = '\n';
+    std::memset(p, ' ', spaces);
+    Commit(p + spaces);
+  }
+
+  /// Integers below 1e15 print as integers; every other finite number
+  /// round-trips at 17 significant digits (to_chars' general format with
+  /// a precision is specified as printf's %.17g). JSON has no NaN or
+  /// infinity, so those print as null.
+  void Number(double d) {
+    if (!std::isfinite(d)) {
+      Put("null");
+      return;
+    }
+    char* p = Room(32);
+    Commit(d == std::floor(d) && std::abs(d) < 1e15
+               ? std::to_chars(p, p + 32, static_cast<long long>(d)).ptr
+               : std::to_chars(p, p + 32, d, std::chars_format::general, 17)
+                     .ptr);
+  }
+
+  /// The one JSON string escaper: `s` quoted, with '"', '\' and control
+  /// characters escaped.
+  void Quoted(std::string_view s) {
+    static constexpr char kHex[] = "0123456789abcdef";
+    char* p = Room(2 + 6 * s.size());  // every byte escaped as \u00XX
+    *p++ = '"';
+    for (char ch : s) {
+      const auto c = static_cast<unsigned char>(ch);
+      if (c >= 0x20 && c != '"' && c != '\\') {
+        *p++ = ch;
+        continue;
+      }
+      *p++ = '\\';
+      switch (c) {
+        case '"': *p++ = '"'; break;
+        case '\\': *p++ = '\\'; break;
+        case '\b': *p++ = 'b'; break;
+        case '\f': *p++ = 'f'; break;
+        case '\n': *p++ = 'n'; break;
+        case '\r': *p++ = 'r'; break;
+        case '\t': *p++ = 't'; break;
+        default:
+          p = std::copy_n("u00", 3, p);
+          *p++ = kHex[c >> 4];
+          *p++ = kHex[c & 0xF];
+      }
+    }
+    *p++ = '"';
+    Commit(p);
+  }
+
+ private:
+  /// Capacity doubles as for any append, but only a step of a quarter of
+  /// the output is zero-filled past the cursor, so pages beyond it are
+  /// never touched and peak memory stays that of a plain append.
+  void Grow(size_t n) {
+    const size_t want = size_ + n + 4096 + size_ / 4;
+    if (want > out_.capacity()) {
+      out_.reserve(std::max(want, 2 * out_.capacity()));
+    }
+    out_.resize(want);
+  }
+
+  std::string& out_;
+  size_t size_;  // bytes written; out_ holds zero fill beyond them
+};
+
+/// Writes `v` at nesting `depth`; `indent` > 0 pretty-prints.
+void Write(Writer& w, const JsonValue& v, int indent, int depth) {
+  const auto newline = [&](int d) {
+    if (indent > 0) w.Newline(static_cast<size_t>(indent * d));
+  };
+  if (v.is_null()) {
+    w.Put("null");
+  } else if (v.is_bool()) {
+    w.Put(v.as_bool() ? "true" : "false");
+  } else if (v.is_number()) {
+    w.Number(v.as_number());
+  } else if (v.is_string()) {
+    w.Quoted(v.as_string());
+  } else if (v.is_array()) {
+    const auto& arr = v.as_array();
+    if (arr.empty()) {
+      w.Put("[]");
+      return;
+    }
+    w.Put("[");
+    for (size_t i = 0; i < arr.size(); ++i) {
+      if (i > 0) w.Put(",");
+      newline(depth + 1);
+      Write(w, arr[i], indent, depth + 1);
+    }
+    newline(depth);
+    w.Put("]");
   } else {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", d);
-    out += buf;
+    const auto& obj = v.as_object();
+    if (obj.empty()) {
+      w.Put("{}");
+      return;
+    }
+    w.Put("{");
+    bool first = true;
+    for (const auto& [key, value] : obj) {
+      if (!first) w.Put(",");
+      first = false;
+      newline(depth + 1);
+      w.Quoted(key);
+      w.Put(indent > 0 ? ": " : ":");
+      Write(w, value, indent, depth + 1);
+    }
+    newline(depth);
+    w.Put("}");
   }
 }
 
 }  // namespace
+
+JsonValue::Object::Object(std::vector<value_type> entries)
+    : entries_(std::move(entries)) {
+  // Strictly increasing keys (every document this library dumps) need
+  // neither the sort nor the duplicate pass.
+  if (std::adjacent_find(begin(), end(),
+                         [](const value_type& a, const value_type& b) {
+                           return !(a.first < b.first);
+                         }) == end()) {
+    return;
+  }
+  std::stable_sort(begin(), end(), [](const value_type& a,
+                                      const value_type& b) {
+    return a.first < b.first;
+  });
+  // Keep the last of each run of equal keys.
+  auto out = begin();
+  for (auto it = begin(); it != end(); ++it) {
+    const auto next = std::next(it);
+    if (next != end() && next->first == it->first) continue;
+    if (out != it) *out = std::move(*it);
+    ++out;
+  }
+  entries_.erase(out, end());
+}
+
+JsonValue::Object::iterator JsonValue::Object::LowerBound(
+    std::string_view key) {
+  return std::lower_bound(
+      begin(), end(), key,
+      [](const value_type& e, std::string_view k) { return e.first < k; });
+}
+
+JsonValue& JsonValue::Object::Insert(std::string_view key) {
+  auto it = LowerBound(key);
+  if (it != end() && it->first == key) return it->second;
+  return entries_.emplace(it, std::string(key), nullptr)->second;
+}
+
+JsonValue::Object::iterator JsonValue::Object::find(std::string_view key) {
+  auto it = LowerBound(key);
+  return it != end() && it->first == key ? it : end();
+}
+
+JsonValue::Object::const_iterator JsonValue::Object::find(
+    std::string_view key) const {
+  return const_cast<Object*>(this)->find(key);
+}
 
 const JsonValue& JsonValue::operator[](const std::string& key) const {
   if (!is_object()) return NullValue();
@@ -212,89 +421,26 @@ const JsonValue& JsonValue::operator[](const std::string& key) const {
 }
 
 std::string JsonValue::QuoteString(std::string_view s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
+  std::string out;
+  Writer(out).Quoted(s);
   return out;
-}
-
-void JsonValue::DumpTo(std::string& out, int indent, int depth) const {
-  auto newline = [&](int d) {
-    if (indent > 0) {
-      out += '\n';
-      out.append(static_cast<size_t>(indent * d), ' ');
-    }
-  };
-  if (is_null()) {
-    out += "null";
-  } else if (is_bool()) {
-    out += as_bool() ? "true" : "false";
-  } else if (is_number()) {
-    AppendNumber(out, as_number());
-  } else if (is_string()) {
-    out += QuoteString(as_string());
-  } else if (is_array()) {
-    const auto& arr = as_array();
-    if (arr.empty()) {
-      out += "[]";
-      return;
-    }
-    out += '[';
-    for (size_t i = 0; i < arr.size(); ++i) {
-      if (i > 0) out += ',';
-      newline(depth + 1);
-      arr[i].DumpTo(out, indent, depth + 1);
-    }
-    newline(depth);
-    out += ']';
-  } else {
-    const auto& obj = as_object();
-    if (obj.empty()) {
-      out += "{}";
-      return;
-    }
-    out += '{';
-    bool first = true;
-    for (const auto& [k, v] : obj) {
-      if (!first) out += ',';
-      first = false;
-      newline(depth + 1);
-      out += QuoteString(k);
-      out += indent > 0 ? ": " : ":";
-      v.DumpTo(out, indent, depth + 1);
-    }
-    newline(depth);
-    out += '}';
-  }
 }
 
 std::string JsonValue::Dump() const {
   std::string out;
-  DumpTo(out, /*indent=*/0, /*depth=*/0);
+  {
+    Writer w(out);  // trims `out` when it goes away
+    Write(w, *this, /*indent=*/0, /*depth=*/0);
+  }
   return out;
 }
 
 std::string JsonValue::DumpPretty() const {
   std::string out;
-  DumpTo(out, /*indent=*/2, /*depth=*/0);
+  {
+    Writer w(out);  // trims `out` when it goes away
+    Write(w, *this, /*indent=*/2, /*depth=*/0);
+  }
   return out;
 }
 

@@ -2,10 +2,10 @@
 #define BLOCKOPTR_COMMON_JSON_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -20,8 +20,53 @@ namespace blockoptr {
 class JsonValue {
  public:
   using Array = std::vector<JsonValue>;
-  // std::map keeps key order deterministic for golden-file tests.
-  using Object = std::map<std::string, JsonValue>;
+
+  /// A JSON object as one flat vector of (key, value) entries kept sorted
+  /// by key, so it iterates in key order like a std::map (golden files
+  /// depend on that order) at one allocation per object. Unlike a
+  /// std::map, inserting a key may move every entry: it invalidates all
+  /// references and iterators into the object. Keys must not be changed
+  /// through an iterator.
+  class Object {
+   public:
+    using value_type = std::pair<std::string, JsonValue>;
+    using iterator = std::vector<value_type>::iterator;
+    using const_iterator = std::vector<value_type>::const_iterator;
+
+    Object() = default;
+    /// Builds an object from entries in any order. Equal keys keep the
+    /// last value, as repeated std::map::operator[] assignments would.
+    explicit Object(std::vector<value_type> entries);
+
+    /// Returns the value under `key`, inserting null if it is missing.
+    /// A key that sorts after every present key is appended in O(1);
+    /// any other new key is inserted in place.
+    JsonValue& operator[](std::string_view key) {
+      if (entries_.empty() || entries_.back().first < key) {
+        return entries_.emplace_back(std::string(key), nullptr).second;
+      }
+      return Insert(key);
+    }
+
+    iterator find(std::string_view key);
+    const_iterator find(std::string_view key) const;
+    size_t count(std::string_view key) const { return find(key) != end(); }
+
+    iterator begin() { return entries_.begin(); }
+    iterator end() { return entries_.end(); }
+    const_iterator begin() const { return entries_.begin(); }
+    const_iterator end() const { return entries_.end(); }
+    size_t size() const { return entries_.size(); }
+    bool empty() const { return entries_.empty(); }
+    void reserve(size_t n) { entries_.reserve(n); }
+
+   private:
+    iterator LowerBound(std::string_view key);
+    /// operator[]'s slow path: `key` found or inserted in place.
+    JsonValue& Insert(std::string_view key);
+
+    std::vector<value_type> entries_;
+  };
 
   JsonValue() : value_(nullptr) {}
   JsonValue(std::nullptr_t) : value_(nullptr) {}            // NOLINT
@@ -53,13 +98,16 @@ class JsonValue {
   /// Object field access; returns a shared null for missing keys.
   const JsonValue& operator[](const std::string& key) const;
 
-  /// Serializes to compact JSON (no whitespace).
+  /// Serializes to compact JSON (no whitespace). JSON has no NaN or
+  /// infinity: non-finite numbers are written as null.
   std::string Dump() const;
 
   /// Serializes with 2-space indentation.
   std::string DumpPretty() const;
 
-  /// Parses a JSON document. Numbers are stored as doubles.
+  /// Parses a JSON document. Numbers are stored as doubles. Documents
+  /// nested deeper than 512 arrays/objects are rejected as
+  /// InvalidArgument rather than recursed into.
   static Result<JsonValue> Parse(std::string_view text);
 
   /// Escapes a string for embedding in JSON (without surrounding quotes
@@ -67,8 +115,6 @@ class JsonValue {
   static std::string QuoteString(std::string_view s);
 
  private:
-  void DumpTo(std::string& out, int indent, int depth) const;
-
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object>
       value_;
 };

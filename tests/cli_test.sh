@@ -3,7 +3,8 @@
 #
 # usage: cli_test.sh CASE BLOCKOPTR WORKDIR
 #   run_exports          `run` at one and two channels with every export flag
-#                        writes exactly the expected file set
+#                        writes exactly the expected file set, and the JSON,
+#                        log CSV and XES exports hold what they should
 #   sweep_exports        `sweep --set=channels` writes one file per point and
 #                        channel, and its stdout does not depend on exports
 #                        or --jobs
@@ -49,6 +50,39 @@ expect_files() {
   done
 }
 
+# expect_export_contents DIR STDOUT SUFFIX... : every .json file in DIR
+# loads as JSON; for each channel suffix, l<SUFFIX>.csv has the 16-column
+# header and one line per transaction the run's STDOUT reports committed on
+# that channel, and l<SUFFIX>.xes parses as XML with at least one <trace>.
+expect_export_contents() {
+  python3 - "$@" << 'EOF' || fail "$1: unexpected export contents"
+import csv, glob, json, re, sys
+import xml.etree.ElementTree as ET
+
+out_dir, stdout, suffixes = sys.argv[1], sys.argv[2], sys.argv[3:]
+for path in sorted(glob.glob(out_dir + "/*.json")):
+    with open(path) as f:
+        json.load(f)
+text = open(stdout).read()
+for suffix in suffixes:
+    if suffix:
+        line = re.search(r"^  channel %s: .*" % suffix[1:], text, re.M)
+    else:
+        line = re.search(r"^success=.*", text, re.M)
+    committed = int(re.search(r"committed=(\d+)", line.group(0)).group(1))
+    with open("%s/l%s.csv" % (out_dir, suffix), newline="") as f:
+        lines = f.read().splitlines()
+    rows = list(csv.reader(lines))
+    assert len(rows[0]) == 16, "l%s.csv header: %s" % (suffix, rows[0])
+    assert all(len(r) == 16 for r in rows), "l%s.csv: ragged rows" % suffix
+    assert len(lines) == committed + 1, \
+        "l%s.csv: %d lines for %d committed" % (suffix, len(lines), committed)
+    root = ET.parse("%s/l%s.xes" % (out_dir, suffix)).getroot()
+    assert root.findall("{http://www.xes-standard.org/}trace"), \
+        "l%s.xes has no <trace>" % suffix
+EOF
+}
+
 run_exports() {
   local one=$WORK/one two=$WORK/two
   fresh_dir "$one"
@@ -61,6 +95,7 @@ run_exports() {
   grep -q "per-stage latency breakdown" "$WORK/one.txt" ||
     fail "single-channel run printed no stage breakdown"
   grep -q '"channel"' "$one/m.json" && fail "single-channel metrics carry a channel"
+  expect_export_contents "$one" "$WORK/one.txt" ""
 
   # shellcheck disable=SC2046
   "$BIN" run --txs=300 --stream-analysis --channels=2 --sim-threads=2 \
@@ -76,6 +111,7 @@ run_exports() {
     fail "two-channel run printed no per-channel breakdown"
   grep -q 'channel="1"' "$two/p-1.prom" || fail "p-1.prom has no channel label"
   grep -q '"channel": 1' "$two/m-1.json" || fail "m-1.json has no channel field"
+  expect_export_contents "$two" "$WORK/two.txt" -0 -1
 }
 
 sweep_exports() {

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/inline_callback.h"
@@ -366,6 +370,88 @@ TEST(JsonTest, PrettyPrintIndents) {
   auto parsed = JsonValue::Parse("{\"a\":[1]}");
   ASSERT_TRUE(parsed.ok());
   EXPECT_NE(parsed->DumpPretty().find("\n  "), std::string::npos);
+}
+
+TEST(JsonTest, NonFiniteNumbersDumpAsNull) {
+  // JSON has no NaN or infinity; they are written as null (like a gauge
+  // that was never set), so every dump parses back.
+  JsonValue::Object obj;
+  obj["inf"] = JsonValue(std::numeric_limits<double>::infinity());
+  obj["nan"] = JsonValue(std::nan(""));
+  obj["neg_inf"] = JsonValue(-std::numeric_limits<double>::infinity());
+  obj["list"] = JsonValue(JsonValue::Array{
+      JsonValue(std::nan("")), JsonValue(1.5),
+      JsonValue(-std::numeric_limits<double>::infinity())});
+  const JsonValue doc(std::move(obj));
+  EXPECT_EQ(doc.Dump(),
+            "{\"inf\":null,\"list\":[null,1.5,null],\"nan\":null,"
+            "\"neg_inf\":null}");
+  for (const std::string& text : {doc.Dump(), doc.DumpPretty()}) {
+    auto parsed = JsonValue::Parse(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
+    EXPECT_TRUE((*parsed)["nan"].is_null());
+    EXPECT_TRUE((*parsed)["inf"].is_null());
+    EXPECT_TRUE((*parsed)["neg_inf"].is_null());
+    EXPECT_EQ((*parsed)["list"].as_array()[1].as_number(), 1.5);
+  }
+}
+
+TEST(JsonTest, NumbersFormatLikePrintf) {
+  // Integers below 1e15 print as %lld, every other number as %.17g.
+  auto reference = [](double d) {
+    char buf[64];
+    if (d == std::floor(d) && std::abs(d) < 1e15) {
+      std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
+    } else {
+      std::snprintf(buf, sizeof(buf), "%.17g", d);
+    }
+    return std::string(buf);
+  };
+  std::vector<double> values = {0.0,    -0.0,   0.1,     -2.5,  1e15,
+                                -1e15,  1e-7,   5e-324,  1e308, 999999999999999.0,
+                                1e15 + 2, 123456789.123456789,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::min()};
+  Rng rng(31);
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back((rng.NextDouble() - 0.5) *
+                     std::pow(10.0, rng.NextInRange(-30, 30)));
+    values.push_back(static_cast<double>(rng.NextInRange(-100000, 100000)));
+  }
+  for (double d : values) {
+    EXPECT_EQ(JsonValue(d).Dump(), reference(d)) << d;
+  }
+}
+
+TEST(JsonTest, QuoteStringEscapesEveryControlCharacter) {
+  for (int c = 0; c < 0x20; ++c) {
+    const std::string quoted = JsonValue::QuoteString(std::string(1, char(c)));
+    auto parsed = JsonValue::Parse(quoted);
+    ASSERT_TRUE(parsed.ok()) << quoted;
+    EXPECT_EQ(parsed->as_string(), std::string(1, char(c)));
+  }
+  EXPECT_EQ(JsonValue::QuoteString("a\x01z\x1f"), "\"a\\u0001z\\u001f\"");
+  EXPECT_EQ(JsonValue::QuoteString("\b\f\r\t\"\\/"),
+            "\"\\b\\f\\r\\t\\\"\\\\/\"");
+}
+
+TEST(JsonTest, ParseRejectsDeepNestingWithoutRecursingIntoIt) {
+  for (const char* open : {"[", "{\"k\":"}) {
+    std::string deep;
+    for (int i = 0; i < 100000; ++i) deep += open;
+    auto parsed = JsonValue::Parse(deep);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
+  // 512 levels are accepted, 513 are not.
+  auto nested = [](int depth) {
+    return std::string(static_cast<size_t>(depth), '[') +
+           std::string(static_cast<size_t>(depth), ']');
+  };
+  EXPECT_TRUE(JsonValue::Parse(nested(512)).ok());
+  auto too_deep = JsonValue::Parse(nested(513));
+  ASSERT_FALSE(too_deep.ok());
+  EXPECT_EQ(too_deep.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <map>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "blockopt/log/export.h"
 #include "blockopt/log/preprocess.h"
 #include "blockopt/metrics/metrics.h"
 #include "common/csv.h"
@@ -125,12 +132,36 @@ TEST(SerializationProperty, CsvRoundTripsRandomRows) {
   }
 }
 
+/// A number that exercises every formatting branch: small integers,
+/// integers beyond 1e15, fractions across magnitudes, and non-finite
+/// values (which dump as null).
+double RandomNumber(Rng& rng) {
+  switch (rng.NextBelow(5)) {
+    case 0:
+      return static_cast<double>(rng.NextInRange(-100000, 100000));
+    case 1:
+      return static_cast<double>(rng.NextInRange(-(int64_t{1} << 60),
+                                                 int64_t{1} << 60));
+    case 2:
+      return (rng.NextDouble() - 0.5) *
+             std::pow(10.0, static_cast<double>(rng.NextInRange(-20, 20)));
+    case 3:
+      return rng.NextGaussian(0, 1e6);
+    default:
+      return rng.NextBool(0.5) ? std::numeric_limits<double>::infinity()
+                               : std::nan("");
+  }
+}
+
+/// Numbers of every kind, and objects whose keys are inserted in random
+/// order with duplicates, so inserts land before, between and after the
+/// keys already present.
 JsonValue RandomJson(Rng& rng, int depth) {
   switch (depth <= 0 ? rng.NextBelow(3) : rng.NextBelow(5)) {
     case 0:
       return JsonValue(RandomField(rng));
     case 1:
-      return JsonValue(static_cast<int64_t>(rng.NextInRange(-5000, 5000)));
+      return JsonValue(RandomNumber(rng));
     case 2:
       return rng.NextBool(0.5) ? JsonValue(true) : JsonValue(nullptr);
     case 3: {
@@ -141,10 +172,9 @@ JsonValue RandomJson(Rng& rng, int depth) {
     }
     default: {
       JsonValue::Object obj;
-      size_t n = rng.NextBelow(4);
+      size_t n = rng.NextBelow(6);
       for (size_t i = 0; i < n; ++i) {
-        obj["k" + std::to_string(i) + RandomField(rng)] =
-            RandomJson(rng, depth - 1);
+        obj[RandomField(rng).substr(0, 2)] = RandomJson(rng, depth - 1);
       }
       return JsonValue(std::move(obj));
     }
@@ -158,10 +188,172 @@ TEST(SerializationProperty, JsonRoundTripsRandomDocuments) {
     auto parsed = JsonValue::Parse(doc.Dump());
     ASSERT_TRUE(parsed.ok()) << doc.Dump();
     EXPECT_EQ(parsed->Dump(), doc.Dump());
+    EXPECT_EQ(parsed->DumpPretty(), doc.DumpPretty());
     // Pretty form parses back to the same document too.
     auto pretty = JsonValue::Parse(doc.DumpPretty());
     ASSERT_TRUE(pretty.ok());
     EXPECT_EQ(pretty->Dump(), doc.Dump());
+    EXPECT_EQ(pretty->DumpPretty(), doc.DumpPretty());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// JSON object model and parser under randomized inputs
+// ---------------------------------------------------------------------------
+
+TEST(JsonProperty, ObjectAgreesWithAStdMapModel) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 300; ++trial) {
+    JsonValue::Object obj;
+    std::map<std::string, double> model;
+    std::string text = "{";  // the same inserts as a document
+    const size_t inserts = rng.NextBelow(40);
+    for (size_t i = 0; i < inserts; ++i) {
+      std::string key = RandomField(rng).substr(0, 3);
+      const double v = static_cast<double>(i);
+      obj[key] = JsonValue(v);
+      model[key] = v;
+      if (i > 0) text += ',';
+      text += JsonValue::QuoteString(key) + ":" + JsonValue(v).Dump();
+    }
+    text += '}';
+    auto parsed = JsonValue::Parse(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
+
+    for (const JsonValue::Object* o : {&obj, &parsed->as_object()}) {
+      ASSERT_EQ(o->size(), model.size());
+      EXPECT_EQ(o->empty(), model.empty());
+      auto it = o->begin();
+      for (const auto& [key, v] : model) {
+        ASSERT_NE(it, o->end());
+        EXPECT_EQ(it->first, key);
+        EXPECT_EQ(it->second.as_number(), v);
+        ++it;
+        auto found = o->find(key);
+        ASSERT_NE(found, o->end());
+        EXPECT_EQ(found->second.as_number(), v);
+        EXPECT_EQ(o->count(key), 1u);
+      }
+      for (int probe = 0; probe < 5; ++probe) {
+        const std::string key = RandomField(rng).substr(0, 3);
+        EXPECT_EQ(o->count(key), model.count(key)) << key;
+        EXPECT_EQ(o->find(key) == o->end(), model.count(key) == 0) << key;
+      }
+    }
+    const JsonValue::Object copy = obj;
+    EXPECT_EQ(JsonValue(copy).Dump(), JsonValue(obj).Dump());
+  }
+}
+
+TEST(JsonProperty, DamagedDocumentsParseOrFailCleanly) {
+  // Every prefix and random byte flips of valid documents either parse or
+  // fail with InvalidArgument; under ASan/UBSan this also checks the
+  // parser never reads out of bounds.
+  Rng rng(1337);
+  size_t parsed_ok = 0;
+  size_t rejected = 0;
+  auto check = [&](const std::string& text) {
+    auto parsed = JsonValue::Parse(text);
+    if (parsed.ok()) {
+      ++parsed_ok;
+      auto again = JsonValue::Parse(parsed->Dump());
+      ASSERT_TRUE(again.ok()) << text;
+      EXPECT_EQ(again->Dump(), parsed->Dump());
+    } else {
+      ++rejected;
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+          << text;
+    }
+  };
+  static const char kNoise[] = "{}[]\",:\\u0123456789.eE+-tfn \n";
+  for (int trial = 0; trial < 150; ++trial) {
+    const std::string text = rng.NextBool(0.5)
+                                 ? RandomJson(rng, 3).Dump()
+                                 : RandomJson(rng, 3).DumpPretty();
+    for (size_t cut = 0; cut < text.size(); ++cut) {
+      check(text.substr(0, cut));
+    }
+    for (int flip = 0; flip < 20 && !text.empty(); ++flip) {
+      std::string damaged = text;
+      const size_t at = rng.NextBelow(damaged.size());
+      damaged[at] = rng.NextBool(0.5)
+                        ? kNoise[rng.NextBelow(sizeof(kNoise) - 1)]
+                        : static_cast<char>(rng.NextBelow(256));
+      check(damaged);
+    }
+  }
+  EXPECT_GT(parsed_ok, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(SerializationProperty, LogCsvMatchesTheRowWriter) {
+  // WriteLogCsv formats rows into its own buffer; it must write exactly
+  // what CsvWriter::WriteRow writes for the same fields, with timestamps
+  // as printf's %.6f.
+  auto fixed6 = [](double v) {
+    char buf[400];
+    std::snprintf(buf, sizeof(buf), "%.6f", v);
+    return std::string(buf);
+  };
+  auto join = [](const std::vector<std::string>& parts) {
+    std::string out;
+    for (size_t i = 0; i < parts.size(); ++i) {
+      out += (i > 0 ? "|" : "") + parts[i];
+    }
+    return out;
+  };
+  auto fields = [&](Rng& rng) {
+    std::vector<std::string> out(rng.NextBelow(4));
+    for (auto& f : out) f = RandomField(rng);
+    return out;
+  };
+  Rng rng(606);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<BlockchainLogEntry> rows(rng.NextBelow(30));
+    for (auto& e : rows) {
+      e.commit_order = rng.Next();
+      e.client_timestamp = RandomNumber(rng);
+      e.activity = RandomField(rng);
+      e.args = fields(rng);
+      e.endorsers = fields(rng);
+      e.invoker_client = RandomField(rng);
+      e.invoker_org = RandomField(rng);
+      e.read_keys = fields(rng);
+      for (const auto& k : fields(rng)) {
+        e.writes.emplace_back(k, RandomField(rng));
+      }
+      e.delete_keys = fields(rng);
+      e.status = static_cast<TxStatus>(rng.NextBelow(5));
+      e.tx_type = static_cast<TxType>(rng.NextBelow(5));
+      e.chaincode = RandomField(rng);
+      e.block_num = rng.Next();
+      e.tx_pos = static_cast<uint32_t>(rng.Next());
+      e.commit_timestamp = RandomNumber(rng);
+    }
+    const BlockchainLog log(rows);
+
+    std::ostringstream want;
+    CsvWriter writer(want);
+    writer.WriteRow({"commit_order", "client_timestamp", "activity", "args",
+                     "endorsers", "invoker_client", "invoker_org",
+                     "read_keys", "writes", "delete_keys", "status",
+                     "tx_type", "chaincode", "block_num", "tx_pos",
+                     "commit_timestamp"});
+    for (const auto& e : rows) {
+      std::vector<std::string> writes;
+      for (const auto& [k, v] : e.writes) writes.push_back(k + "=" + v);
+      writer.WriteRow({std::to_string(e.commit_order),
+                       fixed6(e.client_timestamp), e.activity, join(e.args),
+                       join(e.endorsers), e.invoker_client, e.invoker_org,
+                       join(e.read_keys), join(writes), join(e.delete_keys),
+                       std::string(TxStatusName(e.status)),
+                       std::string(TxTypeName(e.tx_type)), e.chaincode,
+                       std::to_string(e.block_num), std::to_string(e.tx_pos),
+                       fixed6(e.commit_timestamp)});
+    }
+    std::ostringstream got;
+    WriteLogCsv(log, got);
+    ASSERT_EQ(got.str(), want.str()) << "trial " << trial;
   }
 }
 
