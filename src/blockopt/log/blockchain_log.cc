@@ -25,57 +25,19 @@ std::vector<std::string> BlockchainLogEntry::AccessedKeys() const {
   return keys;
 }
 
-void BlockchainLogEntry::EnsureIdViews() const {
-  KeyIdViews& c = id_views;
-  if (c.reads_seen == read_keys.size() && c.writes_seen == writes.size() &&
-      c.deletes_seen == delete_keys.size()) {
-    return;
-  }
-  Interner& interner = GlobalKeyInterner();
-  c.write_ids.clear();
-  c.write_ids.reserve(writes.size() + delete_keys.size());
-  for (const auto& [k, v] : writes) {
-    (void)v;
-    c.write_ids.push_back(interner.Intern(k));
-  }
-  for (const auto& k : delete_keys) c.write_ids.push_back(interner.Intern(k));
-  std::sort(c.write_ids.begin(), c.write_ids.end());
-  c.write_ids.erase(std::unique(c.write_ids.begin(), c.write_ids.end()),
-                    c.write_ids.end());
-  c.accessed_ids = c.write_ids;
-  c.accessed_ids.reserve(c.write_ids.size() + read_keys.size());
-  for (const auto& k : read_keys) {
-    c.accessed_ids.push_back(interner.Intern(k));
-  }
-  std::sort(c.accessed_ids.begin(), c.accessed_ids.end());
-  c.accessed_ids.erase(
-      std::unique(c.accessed_ids.begin(), c.accessed_ids.end()),
-      c.accessed_ids.end());
-  c.reads_seen = read_keys.size();
-  c.writes_seen = writes.size();
-  c.deletes_seen = delete_keys.size();
-}
-
-const std::vector<KeyId>& BlockchainLogEntry::WriteKeyIds() const {
-  EnsureIdViews();
-  return id_views.write_ids;
-}
-
-const std::vector<KeyId>& BlockchainLogEntry::AccessedKeyIds() const {
-  EnsureIdViews();
-  return id_views.accessed_ids;
-}
-
-BlockchainLogEntry BlockchainLog::EntryFromTransaction(const Block& block,
-                                                       uint32_t tx_pos,
-                                                       const Transaction& tx) {
-  BlockchainLogEntry e;
+void BlockchainLog::EntryFromTransaction(const Block& block, uint32_t tx_pos,
+                                         const Transaction& tx,
+                                         BlockchainLogEntry& e) {
   e.client_timestamp = tx.client_timestamp;
   e.activity = tx.activity;
   e.args = tx.args;
   e.endorsers = tx.endorsers;
   e.invoker_client = tx.invoker.client_id;
   e.invoker_org = tx.invoker.org;
+  size_t num_reads = tx.rwset.reads.size();
+  for (const auto& rq : tx.rwset.range_queries) num_reads += rq.results.size();
+  e.read_keys.reserve(num_reads);
+  e.range_bounds.reserve(tx.rwset.range_queries.size());
   for (const auto& r : tx.rwset.reads) e.read_keys.push_back(r.key);
   for (const auto& rq : tx.rwset.range_queries) {
     e.range_bounds.emplace_back(rq.start_key, rq.end_key);
@@ -84,6 +46,11 @@ BlockchainLogEntry BlockchainLog::EntryFromTransaction(const Block& block,
   std::sort(e.read_keys.begin(), e.read_keys.end());
   e.read_keys.erase(std::unique(e.read_keys.begin(), e.read_keys.end()),
                     e.read_keys.end());
+  const auto num_deletes = static_cast<size_t>(
+      std::count_if(tx.rwset.writes.begin(), tx.rwset.writes.end(),
+                    [](const WriteItem& w) { return w.is_delete; }));
+  e.delete_keys.reserve(num_deletes);
+  e.writes.reserve(tx.rwset.writes.size() - num_deletes);
   for (const auto& w : tx.rwset.writes) {
     if (w.is_delete) {
       e.delete_keys.push_back(w.key);
@@ -99,7 +66,6 @@ BlockchainLogEntry BlockchainLog::EntryFromTransaction(const Block& block,
   e.tx_pos = tx_pos;
   e.commit_timestamp = tx.commit_timestamp;
   e.is_config = tx.is_config;
-  return e;
 }
 
 }  // namespace blockoptr

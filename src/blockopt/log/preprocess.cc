@@ -10,8 +10,8 @@ BlockchainLog ExtractRawLog(const Ledger& ledger) {
   for (const auto& block : ledger.blocks()) {
     uint32_t pos = 0;
     for (const auto& tx : block.transactions) {
-      entries.push_back(
-          BlockchainLog::EntryFromTransaction(block, pos++, tx));
+      BlockchainLog::EntryFromTransaction(block, pos++, tx,
+                                          entries.emplace_back());
     }
   }
   // Raw commit order includes config transactions.

@@ -4,6 +4,8 @@
 // per-row fold it must mirror exactly.
 #include <algorithm>
 #include <cstdlib>
+#include <string_view>
+#include <utility>
 
 #include "blockopt/metrics/metrics.h"
 #include "common/interner.h"
@@ -46,6 +48,19 @@ bool SortedIdsDisjoint(const std::vector<KeyId>& wx,
   return true;
 }
 
+/// The entries of an ordered string-keyed container inside the query range
+/// [start, end), as `[first, last)`. An empty `end` is unbounded; a
+/// non-empty `end` at or below `start` is an empty range (the store's
+/// RangeVisit rule), never a walk past `start`.
+template <typename Ordered>
+auto KeysInRange(Ordered& keys, std::string_view start, std::string_view end)
+    -> std::pair<decltype(keys.begin()), decltype(keys.begin())> {
+  auto first = keys.lower_bound(start);
+  if (end.empty()) return {first, keys.end()};
+  if (end <= start) return {first, first};
+  return {first, keys.lower_bound(end)};
+}
+
 }  // namespace
 
 MetricsAccumulator::MetricsAccumulator(const MetricsOptions& options)
@@ -54,7 +69,9 @@ MetricsAccumulator::MetricsAccumulator(const MetricsOptions& options)
       fail_intervals_(options.interval_s) {}
 
 void MetricsAccumulator::OnEntry(const BlockchainLogEntry& e) {
-  OnRow(RowFromEntry(e));
+  // OnRow copies whatever it keeps, so the row can be refilled next call.
+  RowFromEntryInto(e, entry_row_);
+  OnRow(entry_row_);
 }
 
 void MetricsAccumulator::RecordConflict(
@@ -162,16 +179,15 @@ void MetricsAccumulator::OnRow(const MetricsRow& e) {
     // resolve to the lexicographically first key, as a string-keyed walk
     // would).
     const Interner& interner = GlobalKeyInterner();
-    std::vector<std::string_view> reads_by_name;
-    reads_by_name.reserve(e.read_ids.size());
+    reads_by_name_.clear();
     for (KeyId id : e.read_ids) {
-      reads_by_name.push_back(interner.KeyForId(id));
+      reads_by_name_.push_back(interner.KeyForId(id));
     }
-    std::sort(reads_by_name.begin(), reads_by_name.end());
+    std::sort(reads_by_name_.begin(), reads_by_name_.end());
     const CauseRecord* cause = nullptr;
     uint64_t cause_seq = 0;
     std::string_view contended_key;
-    for (std::string_view key : reads_by_name) {
+    for (std::string_view key : reads_by_name_) {
       auto it = last_writer_.find(key);
       if (it == last_writer_.end()) continue;
       if (cause == nullptr || it->second.seq > cause_seq) {
@@ -183,10 +199,7 @@ void MetricsAccumulator::OnRow(const MetricsRow& e) {
     // …and over writes that landed inside x's queried ranges (the map is
     // ordered by key string, so bound strings locate directly).
     for (const auto& [start, end] : e.range_bounds) {
-      auto it = last_writer_.lower_bound(std::string_view(start));
-      auto stop = end.empty()
-                      ? last_writer_.end()
-                      : last_writer_.lower_bound(std::string_view(end));
+      auto [it, stop] = KeysInRange(last_writer_, start, end);
       for (; it != stop; ++it) {
         if (cause == nullptr || it->second.seq > cause_seq) {
           cause = it->second.record.get();
@@ -217,8 +230,8 @@ void MetricsAccumulator::OnRow(const MetricsRow& e) {
       p.has_deletes = e.has_deletes;
       p.single_write_key = single_write_key;
       p.single_write_value = e.single_write_value;
-      p.eligible_reads.reserve(reads_by_name.size());
-      for (std::string_view key : reads_by_name) {
+      p.eligible_reads.reserve(reads_by_name_.size());
+      for (std::string_view key : reads_by_name_) {
         if (tombstones_.count(key) == 0) p.eligible_reads.push_back(key);
       }
       p.ranges.reserve(e.range_bounds.size());
@@ -226,10 +239,7 @@ void MetricsAccumulator::OnRow(const MetricsRow& e) {
         PendingConflict::RangeProbe probe;
         probe.start = start;
         probe.end = end;
-        auto it = tombstones_.lower_bound(std::string_view(start));
-        auto stop = end.empty()
-                        ? tombstones_.end()
-                        : tombstones_.lower_bound(std::string_view(end));
+        auto [it, stop] = KeysInRange(tombstones_, start, end);
         probe.masked.assign(it, stop);  // set order: already lex-sorted
         p.ranges.push_back(std::move(probe));
       }
@@ -286,10 +296,7 @@ bool MetricsAccumulator::ResolvePending(const PendingConflict& p) {
     }
   }
   for (const auto& range : p.ranges) {
-    auto it = last_writer_.lower_bound(std::string_view(range.start));
-    auto stop = range.end.empty()
-                    ? last_writer_.end()
-                    : last_writer_.lower_bound(std::string_view(range.end));
+    auto [it, stop] = KeysInRange(last_writer_, range.start, range.end);
     for (; it != stop; ++it) {
       if (std::binary_search(range.masked.begin(), range.masked.end(),
                              it->first)) {
@@ -340,11 +347,7 @@ void MetricsAccumulator::Merge(const MetricsAccumulator& o) {
                            }),
             c.eligible_reads.end());
         for (auto& range : c.ranges) {
-          auto it = tombstones_.lower_bound(std::string_view(range.start));
-          auto stop =
-              range.end.empty()
-                  ? tombstones_.end()
-                  : tombstones_.lower_bound(std::string_view(range.end));
+          auto [it, stop] = KeysInRange(tombstones_, range.start, range.end);
           if (it == stop) continue;
           const size_t old_size = range.masked.size();
           range.masked.insert(range.masked.end(), it, stop);

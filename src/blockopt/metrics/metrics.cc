@@ -9,9 +9,14 @@
 namespace blockoptr {
 
 MetricsRow RowFromEntry(const BlockchainLogEntry& e) {
+  MetricsRow row;
+  RowFromEntryInto(e, row);
+  return row;
+}
+
+void RowFromEntryInto(const BlockchainLogEntry& e, MetricsRow& r) {
   Interner& keys = GlobalKeyInterner();
   Interner& names = GlobalNameInterner();
-  MetricsRow r;
   r.client_timestamp = e.client_timestamp;
   r.commit_timestamp = e.commit_timestamp;
   r.commit_order = e.commit_order;
@@ -21,25 +26,40 @@ MetricsRow RowFromEntry(const BlockchainLogEntry& e) {
   r.activity = names.Intern(e.activity);
   r.invoker_client = names.Intern(e.invoker_client);
   r.invoker_org = names.Intern(e.invoker_org);
-  r.endorsers.reserve(e.endorsers.size());
+  r.endorsers.clear();
   for (const auto& org : e.endorsers) r.endorsers.push_back(names.Intern(org));
-  r.read_ids.reserve(e.read_keys.size());
+  r.read_ids.clear();
   for (const auto& k : e.read_keys) r.read_ids.push_back(keys.Intern(k));
   std::sort(r.read_ids.begin(), r.read_ids.end());  // already deduped
-  r.write_ids = e.WriteKeyIds();
-  r.accessed_ids = e.AccessedKeyIds();
-  r.value_write_ids.reserve(e.writes.size());
+  r.value_write_ids.clear();
   for (const auto& [k, v] : e.writes) {
     (void)v;
     r.value_write_ids.push_back(keys.Intern(k));
   }
-  r.delete_ids.reserve(e.delete_keys.size());
+  r.delete_ids.clear();
   for (const auto& k : e.delete_keys) r.delete_ids.push_back(keys.Intern(k));
-  r.range_bounds = e.range_bounds;
+  // WS(x) and RWS(x) as sorted-unique id sets, built from the ids above.
+  r.write_ids.assign(r.value_write_ids.begin(), r.value_write_ids.end());
+  r.write_ids.insert(r.write_ids.end(), r.delete_ids.begin(),
+                     r.delete_ids.end());
+  std::sort(r.write_ids.begin(), r.write_ids.end());
+  r.write_ids.erase(std::unique(r.write_ids.begin(), r.write_ids.end()),
+                    r.write_ids.end());
+  r.accessed_ids.assign(r.write_ids.begin(), r.write_ids.end());
+  r.accessed_ids.insert(r.accessed_ids.end(), r.read_ids.begin(),
+                        r.read_ids.end());
+  std::sort(r.accessed_ids.begin(), r.accessed_ids.end());
+  r.accessed_ids.erase(
+      std::unique(r.accessed_ids.begin(), r.accessed_ids.end()),
+      r.accessed_ids.end());
+  r.range_bounds.assign(e.range_bounds.begin(), e.range_bounds.end());
   r.num_value_writes = static_cast<uint32_t>(e.writes.size());
   r.has_deletes = !e.delete_keys.empty();
-  if (e.writes.size() == 1) r.single_write_value = e.writes[0].second;
-  return r;
+  if (e.writes.size() == 1) {
+    r.single_write_value = e.writes[0].second;
+  } else {
+    r.single_write_value.clear();
+  }
 }
 
 MetricsRow RowFromTransaction(const Block& block, const Transaction& tx) {

@@ -173,6 +173,11 @@ struct MetricsRow {
 /// Converts a batch log row into the id-interned form.
 MetricsRow RowFromEntry(const BlockchainLogEntry& entry);
 
+/// In-place variant: clears and refills `row`, keeping its vectors' and
+/// strings' capacity, so a batch pass over a recycled row allocates only
+/// when a row outgrows every earlier one.
+void RowFromEntryInto(const BlockchainLogEntry& entry, MetricsRow& row);
+
 /// Builds a row straight from a committed transaction, reusing the
 /// rwset's cached KeyId views — no string materialization. The caller
 /// stamps `commit_order` (the streaming engine numbers non-config rows
@@ -210,7 +215,7 @@ class MetricsAccumulator {
   /// Folds one row into the accumulator. Rows must arrive in commit order
   /// (the correlation metrics attribute each failure to the most recent
   /// committed writer seen so far). Equivalent to
-  /// `OnRow(RowFromEntry(entry))`.
+  /// `OnRow(RowFromEntry(entry))`, but converts into one recycled row.
   void OnEntry(const BlockchainLogEntry& entry);
 
   /// Folds one id-interned row (same ordering contract as OnEntry). This
@@ -368,6 +373,8 @@ class MetricsAccumulator {
                       std::string_view contended_key);
 
   MetricsOptions options_;
+  MetricsRow entry_row_;  // OnEntry's recycled conversion target
+  std::vector<std::string_view> reads_by_name_;  // OnRow's failed-read scratch
 
   // Rate / failure / significance state (loop-1 of the batch pass).
   uint64_t total_txs_ = 0;

@@ -60,33 +60,25 @@ void TxContext::DeleteState(std::string_view key) {
   rwset_.writes.push_back(WriteItem{std::move(full), "", /*is_delete=*/true});
 }
 
-std::vector<std::pair<std::string, std::string>> TxContext::GetStateByRange(
-    std::string_view start_key, std::string_view end_key) {
-  std::string full_start = Namespaced(start_key);
+void TxContext::GetStateByRange(std::string_view start_key,
+                                std::string_view end_key,
+                                const RangeVisitor& visit) {
+  RangeQueryInfo rq;
+  rq.start_key = Namespaced(start_key);
   // An empty end key scans to the end of this chaincode's namespace; the
   // '~' separator sorts below 0x7F so "<ns>\x7f" upper-bounds it.
-  std::string full_end =
+  rq.end_key =
       end_key.empty() ? ns_stack_.back() + "\x7f" : Namespaced(end_key);
 
-  RangeQueryInfo rq;
-  rq.start_key = full_start;
-  rq.end_key = full_end;
-
-  std::vector<std::pair<std::string, std::string>> out;
-  // Visit the range in place: the old Range() call materialized every
-  // (key, value, version) into a temporary vector just to copy it again.
   const size_t ns_prefix = ns_stack_.back().size() + 1;
-  store_->RangeVisit(full_start, full_end,
+  store_->RangeVisit(rq.start_key, rq.end_key,
                      [&](std::string_view k, const VersionedValue& vv) {
                        rq.results.push_back(
                            ReadItem{std::string(k), vv.version});
-                       // Strip the namespace prefix for the contract's view.
-                       out.emplace_back(std::string(k.substr(ns_prefix)),
-                                        vv.value);
+                       visit(k.substr(ns_prefix), vv.value);
                        return true;
                      });
   rwset_.range_queries.push_back(std::move(rq));
-  return out;
 }
 
 void TxContext::PushNamespace(std::string ns) {

@@ -1,6 +1,7 @@
 #ifndef BLOCKOPTR_CHAINCODE_TX_CONTEXT_H_
 #define BLOCKOPTR_CHAINCODE_TX_CONTEXT_H_
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -21,7 +22,11 @@ namespace blockoptr {
 ///  * Repeated reads of the same key record one read item.
 ///  * Repeated writes to the same key keep only the last write.
 ///  * `GetStateByRange` records the query bounds and the exact observed
-///    (key, version) results, enabling phantom-read validation.
+///    (key, version) results, enabling phantom-read validation. It streams
+///    the results instead of returning them: `visit(key, value)` runs once
+///    per entry, in key order, with the namespace stripped from the key.
+///    Both views are valid only during the call. A contract that only
+///    needs the read recorded passes a visitor that does nothing.
 ///
 /// Keys are namespaced by chaincode name ("<chaincode>~<key>"), matching
 /// Fabric's per-chaincode world-state namespacing — this is what makes
@@ -43,11 +48,15 @@ class TxContext {
   /// Stages a deletion of `key`.
   void DeleteState(std::string_view key);
 
-  /// Ordered scan of [start_key, end_key) in the current namespace.
-  /// Records a range query for phantom validation. Empty `end_key` scans
-  /// to the end of the namespace.
-  std::vector<std::pair<std::string, std::string>> GetStateByRange(
-      std::string_view start_key, std::string_view end_key);
+  /// Called per range result with the un-namespaced key and its value.
+  using RangeVisitor =
+      std::function<void(std::string_view key, std::string_view value)>;
+
+  /// Ordered scan of [start_key, end_key) in the current namespace: calls
+  /// `visit` per entry and records a range query for phantom validation.
+  /// Empty `end_key` scans to the end of the namespace.
+  void GetStateByRange(std::string_view start_key, std::string_view end_key,
+                       const RangeVisitor& visit);
 
   // -- Namespace control (cross-chaincode invocation) -------------------
 

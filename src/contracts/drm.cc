@@ -1,6 +1,8 @@
 #include "contracts/drm.h"
 
 #include <cstdlib>
+#include <string>
+#include <string_view>
 
 #include "common/string_util.h"
 
@@ -92,13 +94,13 @@ Status DrmDeltaContract::Invoke(TxContext& ctx, const std::string& function,
   if (function == "CalcRevenue") {
     // Aggregate all delta keys for this music id (the expensive part the
     // paper notes: CalcRevenue latency rises, but it runs rarely).
-    auto deltas =
-        ctx.GetStateByRange("DELTA_" + args[0] + "_", "DELTA_" + args[0] + "`");
     long count = 0;
-    for (const auto& [k, v] : deltas) {
-      (void)k;
-      count += std::strtol(v.c_str(), nullptr, 10);
-    }
+    ctx.GetStateByRange(
+        "DELTA_" + args[0] + "_", "DELTA_" + args[0] + "`",
+        [&count](std::string_view, std::string_view value) {
+          // Delta values are "1": the copy stays inline.
+          count += std::strtol(std::string(value).c_str(), nullptr, 10);
+        });
     ctx.PutState("REV_" + args[0],
                  FormatDouble(static_cast<double>(count) * kRevenuePerPlay, 2));
     return Status::OK();

@@ -1,6 +1,7 @@
 #include "contracts/dv.h"
 
 #include <cstdlib>
+#include <string_view>
 
 namespace blockoptr {
 
@@ -41,7 +42,8 @@ Status DvContract::Invoke(TxContext& ctx, const std::string& function,
     return Status::OK();
   }
   if (function == "QueryParties" || function == "SeeResults") {
-    ctx.GetStateByRange("PARTY_", "PARTY`");
+    ctx.GetStateByRange("PARTY_", "PARTY`",
+                        [](std::string_view, std::string_view) {});
     return Status::OK();
   }
   if (function == "EndElection") {
@@ -77,7 +79,8 @@ Status DvVoterContract::Invoke(TxContext& ctx, const std::string& function,
     return Status::OK();
   }
   if (function == "QueryParties" || function == "SeeResults") {
-    ctx.GetStateByRange("VOTE_", "VOTE`");
+    ctx.GetStateByRange("VOTE_", "VOTE`",
+                        [](std::string_view, std::string_view) {});
     return Status::OK();
   }
   if (function == "EndElection") {

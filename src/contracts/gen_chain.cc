@@ -1,6 +1,7 @@
 #include "contracts/gen_chain.h"
 
 #include <cstdlib>
+#include <string_view>
 
 namespace blockoptr {
 
@@ -41,7 +42,8 @@ Status GenChainContract::Invoke(TxContext& ctx, const std::string& function,
   }
   if (function == "RangeRead") {
     BLOCKOPTR_RETURN_NOT_OK(need(2));
-    ctx.GetStateByRange(args[0], args[1]);
+    ctx.GetStateByRange(args[0], args[1],
+                        [](std::string_view, std::string_view) {});
     return Status::OK();
   }
   if (function == "Delete") {

@@ -1,6 +1,7 @@
 #include "contracts/scm.h"
 
 #include <cstdlib>
+#include <string_view>
 
 namespace blockoptr {
 
@@ -59,7 +60,8 @@ Status ScmContract::Invoke(TxContext& ctx, const std::string& function,
   }
   if (function == "QueryProducts") {
     const std::string end = args.size() > 1 ? "PRODUCT_" + args[1] : "";
-    ctx.GetStateByRange(product_key, end);
+    ctx.GetStateByRange(product_key, end,
+                        [](std::string_view, std::string_view) {});
     return Status::OK();
   }
   if (function == "UpdateAuditInfo") {

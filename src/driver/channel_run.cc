@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "driver/client_manager.h"
@@ -218,10 +220,16 @@ ExperimentOutput ChannelRun::Finish() {
       // quantiles are also available through the histogram path
       // (Histogram::Quantile) — e.g. in the Prometheus exposition, where
       // raw spans do not travel.
+      // One registry lookup per stage, not per span: the lookup builds
+      // the name and a bounds vector on every call.
+      std::map<std::string_view, Histogram*> by_stage;
       for (const auto& span : output_.telemetry->tracer().spans()) {
-        output_.telemetry->metrics()
-            .histogram("stage." + span.category + ".seconds")
-            .Observe(span.duration());
+        Histogram*& hist = by_stage[span.category];
+        if (hist == nullptr) {
+          hist = &output_.telemetry->metrics().histogram(
+              "stage." + span.category + ".seconds");
+        }
+        hist->Observe(span.duration());
       }
     }
     // Engine-level gauges: how many events the run cost and how deep the
@@ -234,7 +242,7 @@ ExperimentOutput ChannelRun::Finish() {
   }
   faults_->FinalizeWindows(sim_.Now());
   output_.fault_windows = faults_->windows();
-  output_.ledger = network_->ledger();
+  output_.ledger = network_->TakeLedger();
   output_.endorsement_counts = network_->endorsement_counts();
   output_.network = base_network_config_;
   output_.sim_end_time = sim_.Now();

@@ -44,7 +44,9 @@ class ChannelRun : public Shard {
 
   /// Post-run finalization: report finish, stream/sampler finalize, stage
   /// breakdown, engine gauges, fault windows — then surrenders the output.
-  /// Call exactly once, after the run loop completed without error.
+  /// The ledger is moved out of the network, not copied: afterwards
+  /// `network().ledger()` is empty. Call exactly once, after the run loop
+  /// completed without error.
   ExperimentOutput Finish();
 
   FabricNetwork& network() { return *network_; }

@@ -480,13 +480,15 @@ void FabricNetwork::OnEndorsementsComplete(uint64_t pending_id) {
     return;
   }
 
+  // Modal read-write set. A set always equals itself, so each response
+  // starts at one vote and only compares against the others.
   size_t best = ok_indices[0];
   int best_count = 0;
   for (size_t i : ok_indices) {
-    int count = 0;
+    int count = 1;
     for (size_t j : ok_indices) {
-      if (pending.responses[i].second.rwset ==
-          pending.responses[j].second.rwset) {
+      if (j != i && pending.responses[i].second.rwset ==
+                        pending.responses[j].second.rwset) {
         ++count;
       }
     }
@@ -505,7 +507,7 @@ void FabricNetwork::OnEndorsementsComplete(uint64_t pending_id) {
   tx.invoker =
       Invoker{cp.id(), NetworkConfig::OrgName(cp.org_index())};
   for (size_t i : ok_indices) {
-    if (pending.responses[i].second.rwset == canonical) {
+    if (i == best || pending.responses[i].second.rwset == canonical) {
       tx.endorsers.push_back(pending.responses[i].first);
     }
   }

@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaincode/chaincode.h"
@@ -125,6 +126,11 @@ class FabricNetwork {
   }
 
   const Ledger& ledger() const { return ledger_; }
+  /// Surrenders the ledger by move, leaving this network's empty. For the
+  /// end of a run only: the network must commit nothing afterwards. The
+  /// block vector keeps its buffer, so a `const Block&` handed out on the
+  /// commit path stays valid in the returned ledger.
+  Ledger TakeLedger() { return std::exchange(ledger_, Ledger()); }
   const NetworkConfig& config() const { return config_; }
   OrderingService& orderer() { return *orderer_; }
   Simulator& sim() { return *sim_; }

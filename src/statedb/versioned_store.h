@@ -88,11 +88,13 @@ class VersionedStore {
 
   /// Copy-free ordered scan of [start_key, end_key): calls
   /// `visit(key, versioned_value)` per entry until it returns false or the
-  /// range is exhausted. Phantom re-validation and endorsement-time range
+  /// range is exhausted. A non-empty `end_key` at or below `start_key` is
+  /// an empty range. Phantom re-validation and endorsement-time range
   /// simulation use this instead of materializing Range() vectors.
   template <typename Visitor>
   void RangeVisit(std::string_view start_key, std::string_view end_key,
                   Visitor&& visit) const {
+    if (!end_key.empty() && end_key <= start_key) return;
     auto it = map_.lower_bound(start_key);
     auto end = end_key.empty() ? map_.end() : map_.lower_bound(end_key);
     for (; it != end; ++it) {

@@ -9,6 +9,7 @@
 #include "common/interner.h"
 #include "blockopt/log/export.h"
 #include "blockopt/log/preprocess.h"
+#include "blockopt/metrics/metrics.h"
 #include "common/csv.h"
 #include "driver/experiment.h"
 #include "workload/synthetic.h"
@@ -157,25 +158,31 @@ TEST(LogExportTest, ParseRejectsMalformedDocuments) {
 }
 
 TEST(LogEntryTest, KeyIdViewsMirrorStringAccessors) {
+  // The metrics row's id views of an entry are WS(x)/RWS(x) as id sets.
   BlockchainLogEntry e;
   e.read_keys = {"logidv~r", "logidv~shared"};
   e.writes = {{"logidv~w", "1"}, {"logidv~shared", "2"}};
   e.delete_keys = {"logidv~d"};
   const Interner& interner = GlobalKeyInterner();
   auto to_keys = [&](const std::vector<KeyId>& ids) {
+    EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+    EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
     std::vector<std::string> keys;
     for (KeyId id : ids) keys.emplace_back(interner.KeyForId(id));
     std::sort(keys.begin(), keys.end());
     return keys;
   };
-  EXPECT_EQ(to_keys(e.WriteKeyIds()), e.WriteKeys());
-  EXPECT_EQ(to_keys(e.AccessedKeyIds()), e.AccessedKeys());
-  // Appending after the cache was built must invalidate it.
+  MetricsRow row;
+  RowFromEntryInto(e, row);
+  EXPECT_EQ(to_keys(row.write_ids), e.WriteKeys());
+  EXPECT_EQ(to_keys(row.accessed_ids), e.AccessedKeys());
+  // Refilling the same row after the entry grew must reflect the growth.
   e.writes.emplace_back("logidv~w2", "3");
   e.read_keys.push_back("logidv~r2");
   e.delete_keys.push_back("logidv~d2");
-  EXPECT_EQ(to_keys(e.WriteKeyIds()), e.WriteKeys());
-  EXPECT_EQ(to_keys(e.AccessedKeyIds()), e.AccessedKeys());
+  RowFromEntryInto(e, row);
+  EXPECT_EQ(to_keys(row.write_ids), e.WriteKeys());
+  EXPECT_EQ(to_keys(row.accessed_ids), e.AccessedKeys());
 }
 
 TEST(LogEntryTest, FailedHelper) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "chaincode/chaincode.h"
 #include "chaincode/tx_context.h"
 #include "statedb/versioned_store.h"
@@ -83,10 +88,19 @@ TEST(TxContextTest, WriteAfterDeleteClearsDeleteFlag) {
   EXPECT_EQ(ctx.rwset().writes[0].value, "1");
 }
 
+/// Collects what a range read hands to its visitor.
+using RangeEntries = std::vector<std::pair<std::string, std::string>>;
+TxContext::RangeVisitor CollectInto(RangeEntries& out) {
+  return [&out](std::string_view key, std::string_view value) {
+    out.emplace_back(std::string(key), std::string(value));
+  };
+}
+
 TEST(TxContextTest, RangeQueryRecordsBoundsAndResults) {
   VersionedStore store = SeededStore();
   TxContext ctx(&store, "cc");
-  auto results = ctx.GetStateByRange("a", "c");
+  RangeEntries results;
+  ctx.GetStateByRange("a", "c", CollectInto(results));
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].first, "a");  // namespace stripped for the contract
   EXPECT_EQ(results[0].second, "va");
@@ -101,10 +115,41 @@ TEST(TxContextTest, RangeQueryRecordsBoundsAndResults) {
 TEST(TxContextTest, OpenEndedRangeStaysInNamespace) {
   VersionedStore store = SeededStore();
   TxContext ctx(&store, "cc");
-  auto results = ctx.GetStateByRange("a", "");
+  RangeEntries results;
+  ctx.GetStateByRange("a", "", CollectInto(results));
   // Must see cc~a, cc~b, cc~c but never other~a.
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[2].first, "c");
+}
+
+TEST(TxContextTest, RangeVisitorSeesExactlyTheRecordedResultsInOrder) {
+  VersionedStore store = SeededStore();
+  store.Apply("cc~b2", "vb2", false, Version{3, 0});
+  store.Apply("cc~", "empty-key", false, Version{3, 1});
+  store.Apply("cc~a", "va-new", false, Version{4, 0});
+  struct Case {
+    std::string start, end;
+    std::vector<std::string> keys;  // what the visitor must see, in order
+  };
+  for (const Case& c : std::vector<Case>{{"", "", {"", "a", "b", "b2", "c"}},
+                                         {"a", "c", {"a", "b", "b2"}},
+                                         {"b", "b3", {"b", "b2"}},
+                                         {"c", "a", {}},
+                                         {"zz", "", {}}}) {
+    TxContext ctx(&store, "cc");
+    RangeEntries seen;
+    ctx.GetStateByRange(c.start, c.end, CollectInto(seen));
+    ASSERT_EQ(ctx.rwset().range_queries.size(), 1u);
+    const auto& rq = ctx.rwset().range_queries[0];
+    ASSERT_EQ(seen.size(), c.keys.size()) << c.start << ".." << c.end;
+    ASSERT_EQ(rq.results.size(), c.keys.size());
+    for (size_t i = 0; i < seen.size(); ++i) {
+      EXPECT_EQ(seen[i].first, c.keys[i]);
+      EXPECT_EQ("cc~" + seen[i].first, rq.results[i].key);
+      EXPECT_EQ(seen[i].second, store.Get(rq.results[i].key)->value);
+      EXPECT_EQ(rq.results[i].version, store.Get(rq.results[i].key)->version);
+    }
+  }
 }
 
 TEST(TxContextTest, NamespaceIsolation) {

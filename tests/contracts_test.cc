@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "chaincode/tx_context.h"
 #include "contracts/drm.h"
 #include "contracts/dv.h"
@@ -206,6 +210,29 @@ TEST(DrmDeltaTest, CalcRevenueAggregatesDeltas) {
   }
   ASSERT_TRUE(Exec(cc, store, "CalcRevenue", {"M1"}, nullptr, 9).ok());
   EXPECT_EQ(store.Get("drm_delta~REV_M1")->value, "0.05");
+}
+
+TEST(DrmDeltaTest, CalcRevenueOverSeededDeltasWritesCountTimesRate) {
+  // Revenue is 0.01 per delta key of the music id. M10's keys share the
+  // "DELTA_M1" prefix and must stay outside M1's range.
+  for (const auto& [count, revenue] :
+       std::vector<std::pair<int, std::string>>{
+           {0, "0.00"}, {1, "0.01"}, {37, "0.37"}, {250, "2.50"}}) {
+    DrmDeltaContract cc;
+    VersionedStore store;
+    for (int i = 0; i < count; ++i) {
+      store.Apply("drm_delta~DELTA_M1_user" + std::to_string(i), "1", false,
+                  Version{1, static_cast<uint32_t>(i)});
+    }
+    store.Apply("drm_delta~DELTA_M10_user0", "1", false, Version{2, 0});
+    store.Apply("drm_delta~DELTA_M2_user0", "1", false, Version{2, 1});
+    ReadWriteSet rw;
+    ASSERT_TRUE(Exec(cc, store, "CalcRevenue", {"M1"}, &rw, 9).ok());
+    EXPECT_EQ(store.Get("drm_delta~REV_M1")->value, revenue) << count;
+    ASSERT_EQ(rw.range_queries.size(), 1u);
+    EXPECT_EQ(rw.range_queries[0].results.size(),
+              static_cast<size_t>(count));
+  }
 }
 
 TEST(DrmSplitTest, CreatePopulatesBothPartitions) {

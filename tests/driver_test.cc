@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "driver/client_manager.h"
 #include "driver/experiment.h"
 #include "driver/report.h"
@@ -254,6 +259,79 @@ TEST(ExperimentTest, EndorsementCountsArePopulated) {
   for (const auto& [org, count] : out->endorsement_counts) {
     (void)org;
     EXPECT_GT(count, 0u);
+  }
+}
+
+/// Checks one channel's ledger against the run's commit-path report: the
+/// chain verifies, and it holds every committed transaction with its
+/// status plus the config transactions (at least the genesis one).
+void ExpectCompleteLedger(const ExperimentOutput& out) {
+  const Ledger& ledger = out.ledger;
+  EXPECT_TRUE(ledger.VerifyChain().ok());
+  ASSERT_GT(ledger.NumBlocks(), 1u);
+  EXPECT_TRUE(ledger.GetBlock(0).transactions.at(0).is_config);
+  uint64_t config = 0;
+  uint64_t committed = 0;
+  std::map<TxStatus, uint64_t> by_status;
+  std::set<uint64_t> tx_ids;
+  ledger.ForEachTransaction([&](const Block&, const Transaction& tx) {
+    if (tx.is_config) {
+      ++config;
+      return;
+    }
+    ++committed;
+    ++by_status[tx.status];
+    tx_ids.insert(tx.tx_id);
+  });
+  EXPECT_GE(config, 1u);
+  EXPECT_EQ(ledger.NumTransactions(), committed + config);
+  EXPECT_EQ(committed, out.report.total_committed());
+  EXPECT_EQ(tx_ids.size(), committed);
+  EXPECT_EQ(by_status[TxStatus::kValid], out.report.successful());
+  EXPECT_EQ(by_status[TxStatus::kMvccReadConflict],
+            out.report.mvcc_failures());
+  EXPECT_EQ(by_status[TxStatus::kPhantomReadConflict],
+            out.report.phantom_failures());
+  EXPECT_EQ(by_status[TxStatus::kEndorsementPolicyFailure],
+            out.report.endorsement_failures());
+}
+
+std::vector<uint64_t> BlockHashes(const Ledger& ledger) {
+  std::vector<uint64_t> hashes;
+  for (const Block& block : ledger.blocks()) hashes.push_back(block.hash);
+  return hashes;
+}
+
+TEST(ExperimentTest, OutputLedgerHoldsEveryCommittedTransaction) {
+  auto out = RunExperiment(SmallExperiment(600));
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(out->report.total_committed() + out->report.early_aborts(), 600u);
+  ExpectCompleteLedger(*out);
+}
+
+TEST(ExperimentTest, ShardedChannelLedgersAreCompleteAndThreadIndependent) {
+  std::vector<std::vector<uint64_t>> hashes_at_one_thread;
+  for (int threads : {1, 2}) {
+    ExperimentConfig cfg = SmallExperiment(600);
+    cfg.channels = 2;
+    cfg.sim_threads = threads;
+    auto out = RunExperiment(cfg);
+    ASSERT_TRUE(out.ok()) << out.status();
+    ASSERT_EQ(out->channels.size(), 2u);
+    EXPECT_EQ(out->ledger.NumBlocks(), 0u);  // ledgers stay per channel
+    uint64_t committed = 0;
+    for (size_t c = 0; c < out->channels.size(); ++c) {
+      SCOPED_TRACE("channel " + std::to_string(c));
+      ExpectCompleteLedger(out->channels[c]);
+      committed += out->channels[c].report.total_committed();
+      if (threads == 1) {
+        hashes_at_one_thread.push_back(BlockHashes(out->channels[c].ledger));
+      } else {
+        EXPECT_EQ(BlockHashes(out->channels[c].ledger),
+                  hashes_at_one_thread[c]);
+      }
+    }
+    EXPECT_EQ(committed + out->report.early_aborts(), 600u);
   }
 }
 

@@ -400,6 +400,31 @@ TEST(MetricsTest, EmptyLogYieldsZeroMetrics) {
   EXPECT_TRUE(m.hot_keys.empty());
 }
 
+TEST(MetricsTest, InvertedRangeBoundsAreAnEmptyRange) {
+  // A range whose end sorts at or below its start holds no key, like the
+  // store's range scan: the walk over the writer frontier must not run
+  // past the start, whether the reader resolves in one pass or at a pane
+  // merge.
+  std::vector<BlockchainLogEntry> rows;
+  rows.push_back(EntryBuilder(0, "Insert").Writes({{"r5", "a"}}).Build());
+  rows.push_back(EntryBuilder(1, "Delete").Deletes({"r3"}).Build());
+  rows.push_back(EntryBuilder(2, "Scan")
+                     .Ranges({{"r9", "r0"}, {"r5", "r5"}})
+                     .Status(TxStatus::kPhantomReadConflict)
+                     .Build());
+  MetricsAccumulator single;
+  for (const auto& e : rows) single.OnEntry(e);
+  EXPECT_EQ(single.conflicts_detected(), 0u);
+
+  MetricsAccumulator left, right;
+  left.OnEntry(rows[0]);
+  right.OnEntry(rows[1]);
+  right.OnEntry(rows[2]);
+  left.Merge(right);
+  EXPECT_EQ(left.conflicts_detected(), 0u);
+  EXPECT_EQ(left.Snapshot().phantom_failures, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Pane merge: Merge(right) must equal a single pass over both row ranges
 // ---------------------------------------------------------------------------
@@ -694,6 +719,74 @@ TEST(MetricsMergeTest, RandomPanePartitionsEqualSinglePass) {
       }
       ExpectMetricsEqual(folded.Snapshot(), expected);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Row conversion: a recycled row and the batch fold
+// ---------------------------------------------------------------------------
+
+void ExpectRowsEqual(const MetricsRow& a, const MetricsRow& b) {
+  EXPECT_EQ(a.client_timestamp, b.client_timestamp);
+  EXPECT_EQ(a.commit_timestamp, b.commit_timestamp);
+  EXPECT_EQ(a.commit_order, b.commit_order);
+  EXPECT_EQ(a.block_num, b.block_num);
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.tx_type, b.tx_type);
+  EXPECT_EQ(a.activity, b.activity);
+  EXPECT_EQ(a.invoker_client, b.invoker_client);
+  EXPECT_EQ(a.invoker_org, b.invoker_org);
+  EXPECT_EQ(a.endorsers, b.endorsers);
+  EXPECT_EQ(a.read_ids, b.read_ids);
+  EXPECT_EQ(a.write_ids, b.write_ids);
+  EXPECT_EQ(a.accessed_ids, b.accessed_ids);
+  EXPECT_EQ(a.value_write_ids, b.value_write_ids);
+  EXPECT_EQ(a.delete_ids, b.delete_ids);
+  EXPECT_EQ(a.range_bounds, b.range_bounds);
+  EXPECT_EQ(a.num_value_writes, b.num_value_writes);
+  EXPECT_EQ(a.has_deletes, b.has_deletes);
+  EXPECT_EQ(a.single_write_value, b.single_write_value);
+}
+
+/// RandomRowStream plus, every few rows, one much wider row (more
+/// endorsers, reads, writes, deletes and ranges, long values), so a
+/// recycled row alternately grows and must shed what it held.
+std::vector<BlockchainLogEntry> RowsOfMixedWidth(uint64_t seed, int n) {
+  std::vector<BlockchainLogEntry> rows = RandomRowStream(seed, n);
+  for (size_t i = 0; i < rows.size(); i += 1 + seed % 5 + i % 3) {
+    BlockchainLogEntry& e = rows[i];
+    const std::string tag = std::to_string(seed) + "-" + std::to_string(i);
+    e.endorsers = {"Org1", "Org2", "Org3"};
+    for (int k = 0; k < 6; ++k) {
+      e.read_keys.push_back("wide-read-key-" + tag + "-" + std::to_string(k));
+      e.writes.emplace_back("wide-write-key-" + tag + "-" + std::to_string(k),
+                            "a value long enough to live on the heap " + tag);
+      e.delete_keys.push_back("wide-delete-" + std::to_string(k));
+    }
+    e.range_bounds.emplace_back("wide-range-a-" + tag, "wide-range-z");
+  }
+  return rows;
+}
+
+TEST(MetricsRowProperty, RecycledRowEqualsAFreshRow) {
+  for (uint64_t seed : {5ull, 17ull, 29ull}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    MetricsRow recycled;
+    for (const BlockchainLogEntry& e : RowsOfMixedWidth(seed, 400)) {
+      SCOPED_TRACE("row " + std::to_string(e.commit_order));
+      RowFromEntryInto(e, recycled);
+      ExpectRowsEqual(recycled, RowFromEntry(e));
+    }
+  }
+}
+
+TEST(MetricsRowProperty, ComputeMetricsEqualsAnOnRowFold) {
+  for (uint64_t seed : {5ull, 17ull, 29ull}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::vector<BlockchainLogEntry> rows = RowsOfMixedWidth(seed, 400);
+    MetricsAccumulator fold;
+    for (const auto& e : rows) fold.OnRow(RowFromEntry(e));
+    ExpectMetricsEqual(ComputeMetrics(BlockchainLog(rows)), fold.Snapshot());
   }
 }
 

@@ -2,7 +2,8 @@
 // criterion of the engine overhaul is that steady-state scheduling is
 // allocation-free: once the event heap and the callback slot pool have
 // grown to a run's high-water mark, schedule/fire cycles must not touch
-// the heap at all.
+// the heap at all. The same counter gates the post-run path: handing the
+// ledger over, the batch metrics fold, and endorsement-time range reads.
 //
 // The global operator new/delete are replaced with counting versions.
 // This binary is dedicated to allocation tests so the hook cannot
@@ -13,14 +14,25 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
+#include "blockopt/log/preprocess.h"
+#include "blockopt/metrics/metrics.h"
+#include "chaincode/tx_context.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
+#include "driver/channel_run.h"
+#include "driver/experiment.h"
+#include "driver/presets.h"
 #include "sim/service_station.h"
 #include "sim/simulator.h"
 #include "telemetry/sampler.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/txtrace.h"
+#include "workload/synthetic.h"
 
 namespace {
 
@@ -238,6 +250,131 @@ TEST(ThreadPoolAllocTest, SubmitCostsAtMostThreeAllocationsPerTask) {
   // function target on top — five per task instead of three.
   EXPECT_LE(delta, 3u * kTasks + 16);
   EXPECT_EQ(sum, kTasks * (kTasks - 1) / 2);
+}
+
+// ---------------------------------------------------------------------------
+// Post-run cost gates: counts that do not depend on timing noise
+// ---------------------------------------------------------------------------
+
+ExperimentConfig SyntheticRun(int num_txs) {
+  SyntheticConfig wl;
+  wl.num_txs = num_txs;
+  return MakeSyntheticExperiment(wl, NetworkConfig::Defaults());
+}
+
+/// Allocations made by ChannelRun::Finish() of a completed run.
+std::uint64_t FinishAllocations(int num_txs) {
+  auto run = ChannelRun::Create(SyntheticRun(num_txs));
+  EXPECT_TRUE(run.ok()) << run.status();
+  EXPECT_TRUE((*run)->RunToCompletion().ok());
+  const std::uint64_t before = AllocationCount();
+  ExperimentOutput out = (*run)->Finish();
+  const std::uint64_t delta = AllocationCount() - before;
+  EXPECT_EQ(out.report.total_committed() + out.report.early_aborts(),
+            static_cast<std::uint64_t>(num_txs));
+  return delta;
+}
+
+TEST(DriverAllocTest, FinishHandsTheLedgerOverInsteadOfCopyingIt) {
+  // A ledger copy costs several allocations per transaction; handing it
+  // over costs none, so Finish() costs the same at any run length.
+  const std::uint64_t small = FinishAllocations(500);
+  const std::uint64_t large = FinishAllocations(2000);
+  EXPECT_EQ(small, large);
+  EXPECT_LE(large, 16u);
+}
+
+/// A log shaped like a synthetic genChain run: two endorsers, reads,
+/// updates, blind writes and range reads over a 100-key space, with MVCC
+/// and phantom failures.
+BlockchainLog SyntheticLog(int rows) {
+  auto key = [](std::uint64_t slot) {
+    std::string digits = std::to_string(slot);
+    return "genchain~key" + std::string(7 - digits.size(), '0') + digits;
+  };
+  Rng rng(2026);
+  std::vector<BlockchainLogEntry> entries(static_cast<std::size_t>(rows));
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    BlockchainLogEntry& e = entries[i];
+    e.commit_order = i;
+    e.client_timestamp = 0.003 * static_cast<double>(i);
+    e.commit_timestamp = e.client_timestamp + 0.5;
+    e.block_num = i / 100 + 1;
+    e.tx_pos = static_cast<std::uint32_t>(i % 100);
+    e.chaincode = "genchain";
+    e.invoker_org = i % 2 == 0 ? "Org1" : "Org2";
+    e.invoker_client = e.invoker_org + "-client" + std::to_string(i % 3);
+    e.endorsers = {"Org1", "Org2"};
+    const std::uint64_t slot = rng.NextBelow(100);
+    switch (rng.NextBelow(4)) {
+      case 0:
+        e.activity = "Read";
+        e.tx_type = TxType::kRead;
+        e.read_keys = {key(slot)};
+        break;
+      case 1:
+        e.activity = "Update";
+        e.tx_type = TxType::kUpdate;
+        e.read_keys = {key(slot)};
+        e.writes = {{key(slot), std::to_string(i)}};
+        if (rng.NextBool(0.3)) e.status = TxStatus::kMvccReadConflict;
+        break;
+      case 2:
+        e.activity = "Write";
+        e.tx_type = TxType::kWrite;
+        e.writes = {{key(slot), "v"}};
+        break;
+      default:
+        e.activity = "RangeRead";
+        e.tx_type = TxType::kRangeRead;
+        e.range_bounds = {{key(slot % 95), key(slot % 95 + 5)}};
+        for (std::uint64_t k = slot % 95; k < slot % 95 + 5; ++k) {
+          e.read_keys.push_back(key(k));
+        }
+        if (rng.NextBool(0.2)) e.status = TxStatus::kPhantomReadConflict;
+        break;
+    }
+  }
+  return BlockchainLog(std::move(entries));
+}
+
+TEST(MetricsAllocTest, ComputeMetricsStaysUnderThreeAllocationsPerRow) {
+  const BlockchainLog log = SyntheticLog(2000);
+  ComputeMetrics(log);  // warm-up: interns every key and name once
+  const std::uint64_t before = AllocationCount();
+  const LogMetrics m = ComputeMetrics(log);
+  const std::uint64_t delta = AllocationCount() - before;
+  EXPECT_EQ(m.total_txs, log.size());
+  EXPECT_GT(m.failed_txs, 100u);
+  EXPECT_LE(delta, 3 * log.size()) << delta << " allocations for "
+                                   << log.size() << " rows";
+}
+
+TEST(ChaincodeAllocTest, RangeReadAllocatesOncePerResultPlusGrowth) {
+  // Keys longer than 15 characters cannot live in a string's inline
+  // buffer, so each recorded result key costs exactly one allocation;
+  // streaming the results to the visitor must cost none.
+  for (int n : {100, 1000, 4000}) {
+    VersionedStore store;
+    for (int i = 0; i < n; ++i) {
+      store.Apply("cc~a-range-key-longer-than-sso-" + std::to_string(i),
+                  "v", false, Version{1, static_cast<std::uint32_t>(i)});
+    }
+    TxContext ctx(&store, "cc");
+    std::size_t seen = 0;
+    const std::uint64_t before = AllocationCount();
+    ctx.GetStateByRange("", "", [&seen](std::string_view, std::string_view) {
+      ++seen;
+    });
+    const std::uint64_t delta = AllocationCount() - before;
+    ASSERT_EQ(seen, static_cast<std::size_t>(n));
+    ASSERT_EQ(ctx.rwset().range_queries.at(0).results.size(),
+              static_cast<std::size_t>(n));
+    // Result-vector doublings plus the bounds and the range-query slot.
+    std::uint64_t log2n = 0;
+    while ((1u << log2n) < static_cast<unsigned>(n)) ++log2n;
+    EXPECT_LE(delta, static_cast<std::uint64_t>(n) + log2n + 8) << "n=" << n;
+  }
 }
 
 }  // namespace

@@ -88,6 +88,8 @@ TEST(VersionedStoreTest, RangeEmptyWhenNoMatch) {
   store.Apply("m", "1", false, Version{1, 0});
   EXPECT_TRUE(store.Range("n", "z").empty());
   EXPECT_TRUE(store.Range("a", "m").empty());  // end exclusive
+  EXPECT_TRUE(store.Range("z", "a").empty());  // inverted bounds
+  EXPECT_TRUE(store.Range("m", "m").empty());
 }
 
 TEST(VersionedStoreTest, RangeSeesLatestVersions) {
