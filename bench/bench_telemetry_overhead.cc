@@ -6,12 +6,13 @@
 //   BM_E2E_TelemetryOff   — the shipping fast path (no Telemetry at all)
 //   BM_E2E_SamplerOnly    — continuous sampler only (the always-on
 //                           monitoring profile: time series + bottleneck
-//                           inputs, no spans, no event metrics)
-//   BM_E2E_FullTelemetry  — spans + event metrics + sampler (the debug
-//                           profile behind --trace-out)
+//                           inputs, no flight recorder, no event metrics)
+//   BM_E2E_FullTelemetry  — flight recorder + event metrics + sampler (the
+//                           default profile, behind every export flag)
 //
 // The acceptance budget is SamplerOnly within 5% of TelemetryOff
-// throughput; main() prints an explicit interleaved A/B so the ratio is
+// throughput; CI gates FullTelemetry/TelemetryOff as a ratio within one
+// dump; main() prints an explicit interleaved A/B so the ratio is
 // robust against frequency-scaling drift, and `--json-out=PATH` dumps the
 // suite as BENCH_telemetry.json (schema blockoptr-bench-v1) for CI.
 #include <benchmark/benchmark.h>

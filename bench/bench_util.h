@@ -148,8 +148,8 @@ inline void PrintDelta(const std::string& label,
 }
 
 /// Re-runs `cfg` with telemetry enabled and prints the per-stage latency
-/// breakdown derived from lifecycle spans, then the continuous-sampler
-/// bottleneck attribution (which station saturated, over which evidence
+/// breakdown (the flight recorder's critical path), then the
+/// continuous-sampler bottleneck attribution (which station saturated, over which evidence
 /// window) and the recommendations with their observed evidence attached.
 /// Kept separate from the figure-producing runs so those stay on the
 /// telemetry-off fast path.
@@ -163,11 +163,10 @@ inline void PrintStageBreakdown(const ExperimentConfig& cfg,
                  out.status().ToString().c_str());
     return;
   }
-  std::printf("\n%s — per-stage latency breakdown:\n%s", label.c_str(),
-              out->report.StageBreakdownTable().c_str());
-
   BottleneckReport bottleneck =
       ComputeBottleneckReport(*out->telemetry, out->sim_end_time);
+  std::printf("\n%s — per-stage latency breakdown:\n%s", label.c_str(),
+              FormatStageBreakdownTable(bottleneck.stages).c_str());
   std::string table = FormatBottleneckTable(bottleneck);
   if (!table.empty()) {
     std::printf("\n%s — bottleneck attribution:\n%s", label.c_str(),

@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "telemetry/trace.h"
+#include "telemetry/txtrace.h"
 
 namespace blockoptr {
 
@@ -75,7 +75,8 @@ std::string TelemetryEvidenceFor(const Recommendation& rec,
     case RecommendationType::kEndorserRestructuring:
     case RecommendationType::kSmartContractPartitioning: {
       const StationAttribution* st =
-          StationForOrgs(report, trace_category::kEndorse, rec.orgs);
+          StationForOrgs(report, CriticalStageName(critical_stage::kEndorse),
+                         rec.orgs);
       if (st != nullptr) {
         return StationEvidence(*st) +
                CriticalPathEvidence(report, st->stage);
@@ -84,7 +85,8 @@ std::string TelemetryEvidenceFor(const Recommendation& rec,
     }
     case RecommendationType::kClientResourceBoost: {
       const StationAttribution* st =
-          StationForOrgs(report, trace_category::kSubmit, rec.orgs);
+          StationForOrgs(report, CriticalStageName(critical_stage::kSubmit),
+                         rec.orgs);
       if (st != nullptr) {
         return StationEvidence(*st) +
                CriticalPathEvidence(report, st->stage);
@@ -94,7 +96,7 @@ std::string TelemetryEvidenceFor(const Recommendation& rec,
     case RecommendationType::kBlockSizeAdaptation: {
       const SeriesSummary* fill = FindSeries(report, "orderer.block_fill");
       const StationAttribution* orderer =
-          report.ForStage(trace_category::kOrder);
+          report.ForStage(CriticalStageName(critical_stage::kOrder));
       if (fill != nullptr && orderer != nullptr) {
         std::snprintf(buf, sizeof(buf),
                       "block fill mean %.2f; %s", fill->mean,

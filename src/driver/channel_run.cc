@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "driver/client_manager.h"
@@ -213,25 +211,6 @@ ExperimentOutput ChannelRun::Finish() {
     output_.telemetry->txtrace()->Finalize(sim_.Now());
   }
   if (output_.telemetry) {
-    if (output_.telemetry->options().tracing) {
-      output_.report.set_stage_breakdown(
-          ComputeStageBreakdown(output_.telemetry->tracer()));
-      // Feed every finished span into a per-stage latency histogram, so
-      // quantiles are also available through the histogram path
-      // (Histogram::Quantile) — e.g. in the Prometheus exposition, where
-      // raw spans do not travel.
-      // One registry lookup per stage, not per span: the lookup builds
-      // the name and a bounds vector on every call.
-      std::map<std::string_view, Histogram*> by_stage;
-      for (const auto& span : output_.telemetry->tracer().spans()) {
-        Histogram*& hist = by_stage[span.category];
-        if (hist == nullptr) {
-          hist = &output_.telemetry->metrics().histogram(
-              "stage." + span.category + ".seconds");
-        }
-        hist->Observe(span.duration());
-      }
-    }
     // Engine-level gauges: how many events the run cost and how deep the
     // queue got. Both are deterministic per config, so they are safe to
     // snapshot (the sweep determinism harness compares full snapshots).

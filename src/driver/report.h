@@ -3,12 +3,10 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/stats.h"
 #include "ledger/transaction.h"
-#include "telemetry/telemetry.h"
 
 namespace blockoptr {
 
@@ -86,20 +84,6 @@ class PerformanceReport {
   /// One-line summary: "success=87.2% tput=261.4tps lat=0.413s ...".
   std::string Summary() const;
 
-  /// Per-stage latency breakdown derived from telemetry spans (empty when
-  /// the run had telemetry disabled).
-  void set_stage_breakdown(std::vector<StageLatency> stages) {
-    stage_breakdown_ = std::move(stages);
-  }
-  const std::vector<StageLatency>& stage_breakdown() const {
-    return stage_breakdown_;
-  }
-
-  /// Fixed-width table of the stage breakdown; "" when none was attached.
-  std::string StageBreakdownTable() const {
-    return FormatStageBreakdownTable(stage_breakdown_);
-  }
-
  private:
   uint64_t total_committed_ = 0;
   uint64_t successful_ = 0;
@@ -112,7 +96,6 @@ class PerformanceReport {
   double first_send_ = 0;
   bool saw_first_ = false;
   double end_time_ = 0;
-  std::vector<StageLatency> stage_breakdown_;
   std::vector<ChannelTail> channel_tails_;
 };
 

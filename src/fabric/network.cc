@@ -120,7 +120,6 @@ void FabricNetwork::SetReorderer(std::unique_ptr<BlockReorderer> reorderer) {
 
 void FabricNetwork::set_telemetry(Telemetry* telemetry) {
   telemetry_ = telemetry;
-  tracer_ = telemetry ? telemetry->tracing() : nullptr;
   event_metrics_ = telemetry ? telemetry->event_metrics() : nullptr;
   txtrace_ = telemetry ? telemetry->txtrace() : nullptr;
   orderer_->set_telemetry(telemetry);
@@ -155,16 +154,18 @@ void FabricNetwork::set_telemetry(Telemetry* telemetry) {
   // per-org endorsers and validators, the orderer, and the clients.
   for (auto& peer : peers_) {
     sampler->AddStation("peer/" + peer->org() + "/endorser",
-                        trace_category::kEndorse,
+                        CriticalStageName(critical_stage::kEndorse),
                         &peer->endorser_station());
+    // Validation + apply is the critical path's "commit" stage.
     sampler->AddStation("peer/" + peer->org() + "/validator",
-                        trace_category::kValidate,
+                        CriticalStageName(critical_stage::kCommit),
                         &peer->validator_station());
   }
-  sampler->AddStation("orderer", trace_category::kOrder,
+  sampler->AddStation("orderer", CriticalStageName(critical_stage::kOrder),
                       &orderer_->station());
   for (auto& client : clients_) {
-    sampler->AddStation("client/" + client->id(), trace_category::kSubmit,
+    sampler->AddStation("client/" + client->id(),
+                        CriticalStageName(critical_stage::kSubmit),
                         &client->station());
   }
 }
@@ -303,12 +304,6 @@ Status FabricNetwork::Submit(const ClientRequest& request) {
 
   // Proposal creation occupies the client process.
   ClientProcess& cp = *clients_[static_cast<size_t>(entry.client_index)];
-  if (tracer_) {
-    // The submit span starts exactly at the recorded client timestamp, so
-    // span-derived end-to-end latency is identical to the ledger's.
-    entry.submit_span = tracer_->Begin(
-        trace_category::kSubmit, "submit", "client/" + cp.id(), id);
-  }
   if (event_metrics_) {
     event_metrics_->counter("client.requests_total").Increment();
     event_metrics_->gauge("client.queue_depth")
@@ -327,7 +322,6 @@ void FabricNetwork::StartEndorsement(uint64_t pending_id) {
   auto it = pending_.find(pending_id);
   if (it == pending_.end()) return;
   PendingTx& pending = it->second;
-  if (tracer_) tracer_->End(pending.submit_span);
   if (txtrace_) {
     txtrace_->TxEvent(
         pending_id, TxStage::kProposalDone,
@@ -377,13 +371,6 @@ void FabricNetwork::StartEndorsement(uint64_t pending_id) {
       }
       Chaincode* cc = FindChaincode(pit->second.request.chaincode);
       assert(cc != nullptr);
-      uint64_t endorse_span = 0;
-      if (tracer_) {
-        // Covers queueing at the endorser plus chaincode execution.
-        endorse_span = tracer_->Begin(
-            trace_category::kEndorse, "endorse@" + peer.org(),
-            "peer/" + peer.org() + "/endorser", pending_id);
-      }
       if (event_metrics_) {
         event_metrics_->counter("endorser.proposals_total").Increment();
         event_metrics_->gauge("endorser.queue_depth")
@@ -410,10 +397,9 @@ void FabricNetwork::StartEndorsement(uint64_t pending_id) {
                     endorser_slowdown_[static_cast<size_t>(org - 1)];
       std::string org_name = peer.org();
       peer.endorser_station().Submit(
-          cost, [this, pending_id, endorse_span, org, cost,
+          cost, [this, pending_id, org, cost,
                  org_name = std::move(org_name),
                  result = std::move(result)]() mutable {
-            if (tracer_) tracer_->End(endorse_span);
             if (txtrace_) {
               txtrace_->TxEvent(pending_id, TxStage::kEndorseDone,
                                 static_cast<uint16_t>(org),
@@ -460,12 +446,6 @@ void FabricNetwork::OnEndorsementsComplete(uint64_t pending_id) {
   if (ok_indices.empty()) {
     // Unanimous chaincode rejection: early abort, never ordered.
     ++early_aborts_;
-    if (tracer_) {
-      ClientProcess& aborted_cp =
-          *clients_[static_cast<size_t>(pending.client_index)];
-      tracer_->RecordInstant(trace_category::kAbort, "early_abort",
-                             "client/" + aborted_cp.id(), pending_id);
-    }
     if (event_metrics_) {
       event_metrics_->counter("client.early_aborts_total").Increment();
     }
@@ -523,21 +503,13 @@ void FabricNetwork::OnEndorsementsComplete(uint64_t pending_id) {
   tx.rwset = std::move(pending.responses[best].second.rwset);
   pending_.erase(it);
 
-  uint64_t assemble_span = 0;
-  if (tracer_) {
-    assemble_span = tracer_->Begin(
-        trace_category::kAssemble, "assemble", "client/" + cp.id(),
-        pending_id);
-  }
-
   // Envelope assembly occupies the client, then the envelope travels to
   // the ordering service.
   double assemble_cost = config_.latency.client_assemble_s * client_load_scale_;
   cp.station().Submit(
       assemble_cost,
-      [this, assemble_span, assemble_cost, client_actor, tx = std::move(tx),
+      [this, assemble_cost, client_actor, tx = std::move(tx),
        bytes]() mutable {
-        if (tracer_) tracer_->End(assemble_span);
         if (txtrace_) {
           txtrace_->TxEvent(tx.tx_id, TxStage::kAssembleDone, client_actor,
                             static_cast<float>(assemble_cost));
@@ -593,17 +565,6 @@ void FabricNetwork::DeliverBlock(Block block) {
     sim_->ScheduleAt(arrival, [this, org, shared]() {
       OrgPeer& peer = *peers_[static_cast<size_t>(org - 1)];
       const Block& blk = shared->block;
-      uint64_t validate_span = 0;
-      if (tracer_) {
-        // Covers queueing at the validator plus validate-and-commit work.
-        validate_span = tracer_->Begin(
-            trace_category::kValidate, "validate@" + peer.org(),
-            "peer/" + peer.org() + "/validator");
-        tracer_->Annotate(validate_span, "block",
-                          std::to_string(blk.block_num));
-        tracer_->Annotate(validate_span, "txs",
-                          std::to_string(blk.transactions.size()));
-      }
       if (txtrace_) {
         txtrace_->ValidateEvent(static_cast<uint32_t>(blk.block_num),
                                 TxStage::kValidateStart,
@@ -615,10 +576,8 @@ void FabricNetwork::DeliverBlock(Block block) {
                static_cast<double>(blk.transactions.size()) +
            config_.latency.commit_per_block_s) *
           peer_scale_;
-      peer.validator_station().Submit(cost, [this, org, validate_span, cost,
-                                             shared]() {
+      peer.validator_station().Submit(cost, [this, org, cost, shared]() {
         OrgPeer& p = *peers_[static_cast<size_t>(org - 1)];
-        if (tracer_) tracer_->End(validate_span);
         if (txtrace_) {
           txtrace_->ValidateEvent(
               static_cast<uint32_t>(shared->block.block_num),
@@ -651,17 +610,9 @@ void FabricNetwork::DeliverBlock(Block block) {
           if (event_metrics_) {
             event_metrics_->counter("ledger.blocks_total").Increment();
           }
-          if (tracer_ || event_metrics_ || txtrace_) {
+          if (event_metrics_ || txtrace_) {
             for (const auto& tx : appended.transactions) {
               if (tx.is_config) continue;
-              // The commit span closes the transaction lifecycle: it ends
-              // exactly at the ledger's commit timestamp, spanning the
-              // block's cut-to-commit tail (Raft + all-peer validation).
-              if (tracer_) {
-                tracer_->RecordComplete(trace_category::kCommit, "commit",
-                                        "ledger", tx.tx_id,
-                                        appended.cut_timestamp, now);
-              }
               if (event_metrics_) {
                 event_metrics_->counter("ledger.txs_committed_total")
                     .Increment();

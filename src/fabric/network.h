@@ -194,7 +194,6 @@ class FabricNetwork {
     SimTime client_timestamp = 0;
     std::vector<std::pair<std::string, EndorseResult>> responses;
     size_t expected_responses = 0;
-    uint64_t submit_span = 0;  // open tracing span id (0 when disabled)
   };
 
   double NetworkDelay();
@@ -214,8 +213,7 @@ class FabricNetwork {
   Telemetry* telemetry_ = nullptr;  // optional, not owned
   // Cached per-aspect handles (null when the aspect is disabled), so
   // recording sites pay one pointer check and sampler-only runs skip the
-  // per-transaction span/metric work entirely.
-  TraceRecorder* tracer_ = nullptr;         // not owned
+  // per-transaction recorder/metric work entirely.
   MetricsRegistry* event_metrics_ = nullptr;  // not owned
   TxTraceRecorder* txtrace_ = nullptr;        // not owned
 

@@ -107,11 +107,8 @@ class OrderingService {
 
   // Per-aspect telemetry handles, cached from Telemetry::options() (null
   // when disabled — see FabricNetwork's pointer-guard discipline).
-  TraceRecorder* tracer_ = nullptr;    // optional, not owned
   MetricsRegistry* metrics_ = nullptr;  // optional, not owned
   TxTraceRecorder* txtrace_ = nullptr;  // optional, not owned
-  std::map<uint64_t, uint64_t> order_spans_;  // tx_id -> open span
-  std::map<uint64_t, uint64_t> raft_spans_;   // payload -> open span
 
   std::map<uint64_t, Block> inflight_;
   uint64_t next_payload_id_ = 1;

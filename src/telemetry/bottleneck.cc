@@ -35,21 +35,24 @@ BottleneckReport ComputeBottleneckReport(
     const std::vector<FaultWindow>* fault_windows) {
   BottleneckReport report;
 
-  // Critical-path evidence: total span time per stage.
-  report.stages = ComputeStageBreakdown(telemetry.tracer());
-  double total_span_time = 0;
-  double dominant_time = 0;
-  std::string dominant_stage;
-  for (const auto& stage : report.stages) {
-    double t = stage.mean_s * static_cast<double>(stage.count);
-    total_span_time += t;
-    if (t > dominant_time) {
-      dominant_time = t;
-      dominant_stage = stage.stage;
+  // Critical-path evidence: the flight recorder's stage histograms and
+  // its partition of committed latency.
+  report.stages = ComputeStageBreakdown(telemetry.metrics());
+  const TxTraceRecorder* txrec = telemetry.txtrace();
+  const TxTraceSummary* ts =
+      txrec != nullptr && txrec->summary().committed > 0 ? &txrec->summary()
+                                                         : nullptr;
+  const int dominant = ts != nullptr ? ts->DominantStage() : -1;
+  if (dominant >= 0) {
+    for (int i = 0; i < kNumCriticalStages; ++i) {
+      BottleneckReport::CriticalPathShare cps;
+      cps.stage = CriticalStageName(i);
+      cps.share = ts->StageShare(i);
+      cps.wait_share = ts->stages[i].wait_share();
+      report.critical_path.push_back(std::move(cps));
     }
-  }
-  if (total_span_time > 0) {
-    report.dominant_stage_share = dominant_time / total_span_time;
+    report.critical_path_stage = CriticalStageName(dominant);
+    report.critical_path_share = ts->StageShare(dominant);
   }
 
   // Queueing evidence: per-station utilization with evidence windows.
@@ -107,7 +110,8 @@ BottleneckReport ComputeBottleneckReport(
   }
 
   // Attribution: a saturated station wins; otherwise fall back to the
-  // dominant span stage (the run is latency-bound, not capacity-bound).
+  // dominant critical-path stage (the run is latency-bound, not
+  // capacity-bound).
   const StationAttribution* top = report.Top();
   if (top != nullptr && top->utilization >= kSaturationThreshold) {
     report.saturated = true;
@@ -116,9 +120,9 @@ BottleneckReport ComputeBottleneckReport(
     report.bottleneck_utilization = top->utilization;
     report.window_start = top->window_start;
     report.window_end = top->window_end;
-  } else if (!dominant_stage.empty()) {
-    report.bottleneck_stage = dominant_stage;
-    const StationAttribution* st = report.ForStage(dominant_stage);
+  } else if (dominant >= 0) {
+    report.bottleneck_stage = report.critical_path_stage;
+    const StationAttribution* st = report.ForStage(report.bottleneck_stage);
     if (st != nullptr) {
       report.bottleneck_station = st->station;
       report.bottleneck_utilization = st->utilization;
@@ -145,43 +149,28 @@ BottleneckReport ComputeBottleneckReport(
                   report.bottleneck_stage.c_str());
     report.summary = buf;
   } else if (!report.bottleneck_stage.empty()) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "no station saturated (top utilization %.2f); stage '%s' dominates "
-        "end-to-end time (%.0f%% of span time)",
-        top != nullptr ? top->utilization : 0.0,
-        report.bottleneck_stage.c_str(), 100.0 * report.dominant_stage_share);
+    std::snprintf(buf, sizeof(buf),
+                  "no station saturated (top utilization %.2f); stage '%s' "
+                  "dominates end-to-end time",
+                  top != nullptr ? top->utilization : 0.0,
+                  report.bottleneck_stage.c_str());
     report.summary = buf;
   } else {
     report.summary = "no telemetry evidence recorded";
   }
 
-  // Causal-chain evidence: the flight recorder's critical-path shares
-  // partition committed latency exactly, so they are cited alongside the
-  // utilization verdict (a saturated station should also dominate the
-  // critical path; when it does not, the verdict is queueing elsewhere).
-  const TxTraceRecorder* txrec = telemetry.txtrace();
-  if (txrec != nullptr && txrec->summary().committed > 0) {
-    const TxTraceSummary& ts = txrec->summary();
-    for (int i = 0; i < kNumCriticalStages; ++i) {
-      BottleneckReport::CriticalPathShare cps;
-      cps.stage = CriticalStageName(i);
-      cps.share = ts.StageShare(i);
-      cps.wait_share = ts.stages[i].wait_share();
-      report.critical_path.push_back(std::move(cps));
-    }
-    int dom = ts.DominantStage();
-    if (dom >= 0) {
-      report.critical_path_stage = CriticalStageName(dom);
-      report.critical_path_share = ts.StageShare(dom);
-      std::snprintf(buf, sizeof(buf),
-                    "; critical path: %.0f%% of committed latency in '%s' "
-                    "(wait share %.0f%%)",
-                    100.0 * report.critical_path_share,
-                    report.critical_path_stage.c_str(),
-                    100.0 * ts.stages[dom].wait_share());
-      report.summary += buf;
-    }
+  // The critical-path shares partition committed latency exactly, so
+  // they are cited alongside the utilization verdict (a saturated station
+  // should also dominate the critical path; when it does not, the verdict
+  // is queueing elsewhere).
+  if (dominant >= 0) {
+    std::snprintf(buf, sizeof(buf),
+                  "; critical path: %.0f%% of committed latency in '%s' "
+                  "(wait share %.0f%%)",
+                  100.0 * report.critical_path_share,
+                  report.critical_path_stage.c_str(),
+                  100.0 * ts->stages[dominant].wait_share());
+    report.summary += buf;
   }
 
   // Fault attribution: when faults were injected, the verdict names the
@@ -243,7 +232,6 @@ JsonValue BottleneckToJson(const BottleneckReport& report) {
   root["bottleneck_utilization"] = JsonValue(report.bottleneck_utilization);
   root["window_start"] = JsonValue(report.window_start);
   root["window_end"] = JsonValue(report.window_end);
-  root["dominant_stage_share"] = JsonValue(report.dominant_stage_share);
   root["critical_path_stage"] = JsonValue(report.critical_path_stage);
   root["critical_path_share"] = JsonValue(report.critical_path_share);
   root["active_fault"] = JsonValue(report.active_fault);

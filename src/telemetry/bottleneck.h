@@ -22,7 +22,7 @@ struct FaultWindow {
 /// window where it was hottest.
 struct StationAttribution {
   std::string station;  // display name, e.g. "peer/Org2/endorser"
-  std::string stage;    // pipeline stage the station implements
+  std::string stage;    // critical-path stage the station serves
   double utilization = 0;       // whole-run busy share across servers
   double peak_utilization = 0;  // hottest sampled window
   /// Longest contiguous stretch of near-peak utilization (the evidence
@@ -47,13 +47,15 @@ struct SeriesSummary {
 
 /// The run's bottleneck attribution: queueing evidence (station
 /// utilization over sampled windows) joined with critical-path evidence
-/// (which span stage dominates end-to-end time). `saturated` is set when
-/// the top station's whole-run utilization crosses the saturation
-/// threshold — then the named station *is* the bottleneck; otherwise the
-/// dominant span stage is named and the run is latency- rather than
-/// capacity-bound.
+/// (which stage dominates committed end-to-end latency). `saturated` is
+/// set when the top station's whole-run utilization crosses the
+/// saturation threshold — then the named station *is* the bottleneck;
+/// otherwise the dominant critical-path stage is named and the run is
+/// latency- rather than capacity-bound.
 struct BottleneckReport {
-  std::vector<StageLatency> stages;          // empty when tracing was off
+  /// Per-stage latency breakdown (ComputeStageBreakdown over the stage
+  /// histograms); empty when the flight recorder was off.
+  std::vector<StageLatency> stages;
   std::vector<StationAttribution> stations;  // sorted by utilization desc
   std::vector<SeriesSummary> series;         // pipeline-level series
   bool saturated = false;
@@ -62,14 +64,11 @@ struct BottleneckReport {
   double bottleneck_utilization = 0;
   double window_start = 0;
   double window_end = 0;
-  /// Share of total span time spent in the dominant stage (0 when tracing
-  /// was off).
-  double dominant_stage_share = 0;
   /// Causal-chain evidence from the flight recorder (txtrace aspect): one
   /// entry per critical stage with its share of total committed latency
   /// and how much of that stage's time was queueing rather than service.
-  /// Unlike `stages` (span totals, which overlap), these shares partition
-  /// end-to-end latency exactly and sum to ~1.0. Empty when txtrace off.
+  /// The shares partition end-to-end latency exactly and sum to ~1.0.
+  /// Empty when txtrace off.
   struct CriticalPathShare {
     std::string stage;       // CriticalStageName order
     double share = 0;        // stage span / total committed latency
@@ -100,8 +99,9 @@ inline constexpr double kSaturationThreshold = 0.8;
 
 /// Builds the attribution from a finished run's telemetry.
 /// `run_duration_s` is the run's virtual end time (used for whole-run
-/// utilization). Works with any subset of aspects enabled: span analysis
-/// needs tracing, station/series analysis needs the sampler. When
+/// utilization). Works with any subset of aspects enabled: stage and
+/// critical-path analysis need the flight recorder, station/series
+/// analysis needs the sampler. When
 /// `fault_windows` is non-null and non-empty, the report names the active
 /// fault as the verdict (the cause behind the saturated station / dominant
 /// stage).

@@ -312,9 +312,114 @@ JsonValue TxTraceSummaryJson(const TxTraceSummary& summary) {
   return JsonValue(std::move(root));
 }
 
+namespace {
+
+constexpr double kMicrosPerSimSecond = 1e6;
+
+JsonValue ProcessNameEvent(int pid, std::string name) {
+  JsonValue::Object meta;
+  meta["ph"] = JsonValue("M");
+  meta["name"] = JsonValue("process_name");
+  meta["pid"] = JsonValue(pid);
+  JsonValue::Object args;
+  args["name"] = JsonValue(std::move(name));
+  meta["args"] = JsonValue(std::move(args));
+  return JsonValue(std::move(meta));
+}
+
+/// The one flight-recorder event -> Chrome slice mapping. Service time
+/// renders as the slice body ending at the transition instant; zero-cost
+/// transitions become instants.
+JsonValue EventSlice(const TxTraceEvent& ev, int pid) {
+  const double dur = static_cast<double>(ev.dur);
+  JsonValue::Object slice;
+  slice["ph"] = JsonValue(dur > 0 ? "X" : "i");
+  slice["name"] = JsonValue(TxStageName(ev.stage));
+  slice["cat"] = JsonValue("txtrace");
+  slice["pid"] = JsonValue(pid);
+  slice["tid"] = JsonValue(ev.tx_id);
+  slice["ts"] = JsonValue((ev.t - dur) * kMicrosPerSimSecond);
+  if (dur > 0) slice["dur"] = JsonValue(dur * kMicrosPerSimSecond);
+  if (dur <= 0) slice["s"] = JsonValue("t");  // instant scope
+  JsonValue::Object args;
+  args["tx_id"] = JsonValue(ev.tx_id);
+  args["actor"] = JsonValue(static_cast<uint64_t>(ev.actor));
+  args["block_seq"] = JsonValue(static_cast<uint64_t>(ev.block_seq));
+  if (ev.flags & TxTraceEvent::kTruncated) args["truncated"] = JsonValue(true);
+  if (ev.flags & TxTraceEvent::kFailed) args["failed"] = JsonValue(true);
+  slice["args"] = JsonValue(std::move(args));
+  return JsonValue(std::move(slice));
+}
+
+/// Ring-dump processes: the pipeline component each stage happens at.
+constexpr const char* kRingComponents[] = {"client", "endorser", "orderer",
+                                           "raft",   "validator", "ledger"};
+
+int RingComponentPid(TxStage stage) {
+  switch (stage) {
+    case TxStage::kSubmit:
+    case TxStage::kProposalDone:
+    case TxStage::kCollect:
+    case TxStage::kAssembleDone:
+    case TxStage::kEarlyAbort:
+      return 1;
+    case TxStage::kEndorseStart:
+    case TxStage::kEndorseDone:
+    case TxStage::kEndorseRefused:
+      return 2;
+    case TxStage::kOrdererEnqueue:
+    case TxStage::kBlockCut:
+      return 3;
+    case TxStage::kRaftPropose:
+    case TxStage::kRaftReplicate:
+    case TxStage::kRaftCommit:
+      return 4;
+    case TxStage::kValidateStart:
+    case TxStage::kValidateDone:
+      return 5;
+    case TxStage::kCommit:
+      return 6;
+  }
+  return 1;
+}
+
+}  // namespace
+
+void WriteTxTraceRingChromeTrace(const TxTraceRecorder& recorder,
+                                 std::ostream& out) {
+  JsonValue::Array events;
+  int pid = 0;
+  for (const char* component : kRingComponents) {
+    events.push_back(ProcessNameEvent(++pid, component));
+  }
+  recorder.ForEachRetained([&](uint64_t, const TxTraceEvent& ev) {
+    events.push_back(EventSlice(ev, RingComponentPid(ev.stage)));
+  });
+  JsonValue::Object root;
+  root["traceEvents"] = JsonValue(std::move(events));
+  root["displayTimeUnit"] = JsonValue("ms");
+  out << JsonValue(std::move(root)).Dump();
+}
+
+void WriteTxTraceRingCsv(const TxTraceRecorder& recorder, std::ostream& out) {
+  out << "seq,tx_id,stage,t_s,dur_s,actor,block_seq,prev,flags\n";
+  char line[192];
+  recorder.ForEachRetained([&](uint64_t seq, const TxTraceEvent& ev) {
+    const int n = std::snprintf(
+        line, sizeof(line), "%llu,%llu,%s,%.9f,%.9g,%u,%u,%lld,%u\n",
+        static_cast<unsigned long long>(seq),
+        static_cast<unsigned long long>(ev.tx_id), TxStageName(ev.stage),
+        ev.t, static_cast<double>(ev.dur), static_cast<unsigned>(ev.actor),
+        static_cast<unsigned>(ev.block_seq),
+        ev.prev == TxTraceEvent::kNoPrev ? -1LL
+                                         : static_cast<long long>(ev.prev),
+        static_cast<unsigned>(ev.flags));
+    out.write(line, n);
+  });
+}
+
 void WriteTxTraceChromeTrace(const TxTraceSummary& summary,
                              std::ostream& out) {
-  constexpr double kMicros = 1e6;
   JsonValue::Array events;
   int pid = 0;
   char buf[160];
@@ -331,41 +436,11 @@ void WriteTxTraceChromeTrace(const TxTraceSummary& summary,
                       static_cast<unsigned long long>(ex.tx_id),
                       ex.latency_s, ex.truncated ? " truncated" : "",
                       ex.nearest ? " nearest" : "");
-        JsonValue::Object meta;
-        meta["ph"] = JsonValue("M");
-        meta["name"] = JsonValue("process_name");
-        meta["pid"] = JsonValue(pid);
-        JsonValue::Object margs;
-        margs["name"] = JsonValue(std::string(buf));
-        meta["args"] = JsonValue(std::move(margs));
-        events.push_back(JsonValue(std::move(meta)));
+        events.push_back(ProcessNameEvent(pid, buf));
 
         for (size_t i = 0; i < ex.events.size(); ++i) {
           const TxTraceEvent& ev = ex.events[i];
-          double dur = static_cast<double>(ev.dur);
-          JsonValue::Object slice;
-          // Service time renders as the slice body ending at the
-          // transition instant; zero-cost transitions become instants.
-          slice["ph"] = JsonValue(dur > 0 ? "X" : "i");
-          slice["name"] = JsonValue(TxStageName(ev.stage));
-          slice["cat"] = JsonValue("txtrace");
-          slice["pid"] = JsonValue(pid);
-          slice["tid"] = JsonValue(ev.tx_id);
-          slice["ts"] = JsonValue((ev.t - dur) * kMicros);
-          if (dur > 0) slice["dur"] = JsonValue(dur * kMicros);
-          if (dur <= 0) slice["s"] = JsonValue("t");  // instant scope
-          JsonValue::Object args;
-          args["tx_id"] = JsonValue(ev.tx_id);
-          args["actor"] = JsonValue(static_cast<uint64_t>(ev.actor));
-          args["block_seq"] = JsonValue(static_cast<uint64_t>(ev.block_seq));
-          if (ev.flags & TxTraceEvent::kTruncated) {
-            args["truncated"] = JsonValue(true);
-          }
-          if (ev.flags & TxTraceEvent::kFailed) {
-            args["failed"] = JsonValue(true);
-          }
-          slice["args"] = JsonValue(std::move(args));
-          events.push_back(JsonValue(std::move(slice)));
+          events.push_back(EventSlice(ev, pid));
 
           // Flow arrows thread the causal chain through the exemplar:
           // "s" starts at the first event, "t" steps through the rest,
@@ -379,7 +454,7 @@ void WriteTxTraceChromeTrace(const TxTraceSummary& summary,
           flow["cat"] = JsonValue("txtrace");
           flow["pid"] = JsonValue(pid);
           flow["tid"] = JsonValue(ev.tx_id);
-          flow["ts"] = JsonValue(ev.t * kMicros);
+          flow["ts"] = JsonValue(ev.t * kMicrosPerSimSecond);
           events.push_back(JsonValue(std::move(flow)));
         }
       }
@@ -527,8 +602,8 @@ void WriteHtmlReport(std::ostream& out, const std::string& title,
     out << "</table>\n";
   }
   if (!bottleneck.stages.empty()) {
-    out << "<h2>Stage latency (spans)</h2>\n"
-           "<table>\n<tr><th>stage</th><th>spans</th><th>mean (s)</th>"
+    out << "<h2>Stage latency (critical path)</h2>\n"
+           "<table>\n<tr><th>stage</th><th>txs</th><th>mean (s)</th>"
            "<th>p50 (s)</th><th>p95 (s)</th><th>max (s)</th></tr>\n";
     for (const auto& st : bottleneck.stages) {
       out << "<tr><td>" << HtmlEscapeText(st.stage) << "</td><td>" << st.count

@@ -61,6 +61,21 @@ JsonValue TxTraceSummaryJson(const TxTraceSummary& summary);
 void WriteTxTraceChromeTrace(const TxTraceSummary& summary,
                              std::ostream& out);
 
+/// Chrome-trace export of every event still in the flight recorder's ring
+/// (TxTraceRecorder::ForEachRetained order): one slice per event, built by
+/// the same event -> slice mapping as WriteTxTraceChromeTrace, in one
+/// process per pipeline component (client, endorser, orderer, raft,
+/// validator, ledger); the thread id is the transaction id (0 for block
+/// events). This is what `--trace-out` writes. Byte-deterministic.
+void WriteTxTraceRingChromeTrace(const TxTraceRecorder& recorder,
+                                 std::ostream& out);
+
+/// CSV dump of the same ring events, one row each:
+/// seq,tx_id,stage,t_s,dur_s,actor,block_seq,prev,flags (`prev` is the
+/// ring sequence of the previous event on the chain, -1 for none). This is
+/// what `--trace-csv` writes.
+void WriteTxTraceRingCsv(const TxTraceRecorder& recorder, std::ostream& out);
+
 /// Key/value rows rendered at the top of the HTML report (throughput,
 /// success rate, ...).
 using HtmlSummaryRows = std::vector<std::pair<std::string, std::string>>;

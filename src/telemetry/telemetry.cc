@@ -1,92 +1,41 @@
 #include "telemetry/telemetry.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <map>
-
-#include "common/stats.h"
 
 namespace blockoptr {
 
-namespace {
-
-/// Pipeline stages first, everything else after in alphabetical order
-/// (callers pass the categories present; `present` is already sorted
-/// because it comes from a std::map).
-std::vector<std::string> StageOrder(const std::vector<std::string>& present) {
-  const char* pipeline[] = {
-      trace_category::kSubmit,  trace_category::kEndorse,
-      trace_category::kAssemble, trace_category::kOrder,
-      trace_category::kRaft,    trace_category::kValidate,
-      trace_category::kCommit};
-  std::vector<std::string> order;
-  for (const char* stage : pipeline) {
-    if (std::find(present.begin(), present.end(), stage) != present.end()) {
-      order.push_back(stage);
-    }
+Telemetry::Telemetry(Simulator* sim, TelemetryOptions options)
+    : options_(options) {
+  if (options_.sample_period_s > 0) {
+    sampler_ = std::make_unique<Sampler>(
+        sim, SamplerConfig{options_.sample_period_s,
+                           options_.series_capacity});
   }
-  for (const auto& stage : present) {
-    if (std::find(order.begin(), order.end(), stage) == order.end()) {
-      order.push_back(stage);
+  if (options_.txtrace.enabled) {
+    txtrace_ = std::make_unique<TxTraceRecorder>(sim, options_.txtrace);
+    // Registry references are stable (node-based maps), so the recorder
+    // keeps these for the whole run.
+    Histogram* stages[kNumCriticalStages];
+    for (int i = 0; i < kNumCriticalStages; ++i) {
+      stages[i] = &metrics_.histogram(StageHistogramName(i));
     }
+    txtrace_->set_stage_histograms(stages);
   }
-  return order;
 }
 
-}  // namespace
-
-std::vector<StageLatency> ComputeStageBreakdown(const TraceRecorder& tracer) {
-  std::map<std::string, std::vector<double>> durations;
-  for (const auto& span : tracer.spans()) {
-    durations[span.category].push_back(span.duration());
-  }
-
-  std::vector<std::string> present;
-  for (const auto& [stage, _] : durations) present.push_back(stage);
-  std::vector<std::string> order = StageOrder(present);
-
-  std::vector<StageLatency> out;
-  for (const auto& stage : order) {
-    auto& samples = durations.at(stage);
-    StageLatency row;
-    row.stage = stage;
-    row.count = samples.size();
-    RunningStats stats;
-    PercentileTracker pct;
-    for (double d : samples) {
-      stats.Add(d);
-      pct.Add(d);
-    }
-    row.mean_s = stats.mean();
-    row.max_s = stats.max();
-    row.p50_s = pct.Percentile(50);
-    row.p95_s = pct.Percentile(95);
-    out.push_back(std::move(row));
-  }
-  return out;
+std::string StageHistogramName(int stage) {
+  return std::string("stage.") + CriticalStageName(stage) + ".seconds";
 }
 
 std::vector<StageLatency> ComputeStageBreakdown(
     const MetricsRegistry& metrics) {
-  const std::string prefix = "stage.";
-  const std::string suffix = ".seconds";
-  std::vector<std::string> present;
-  for (const auto& [name, _] : metrics.histograms()) {
-    if (name.size() > prefix.size() + suffix.size() &&
-        name.compare(0, prefix.size(), prefix) == 0 &&
-        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-            0) {
-      present.push_back(
-          name.substr(prefix.size(),
-                      name.size() - prefix.size() - suffix.size()));
-    }
-  }
   std::vector<StageLatency> out;
-  for (const auto& stage : StageOrder(present)) {
-    const Histogram& h =
-        metrics.histograms().at(prefix + stage + suffix);
+  for (int i = 0; i < kNumCriticalStages; ++i) {
+    auto it = metrics.histograms().find(StageHistogramName(i));
+    if (it == metrics.histograms().end()) continue;
+    const Histogram& h = it->second;
     StageLatency row;
-    row.stage = stage;
+    row.stage = CriticalStageName(i);
     row.count = h.count();
     row.mean_s = h.Mean();
     row.p50_s = h.Quantile(0.5);
@@ -94,9 +43,9 @@ std::vector<StageLatency> ComputeStageBreakdown(
     // Bucket-resolution max: the upper bound of the highest occupied
     // bucket (the last finite bound when the overflow bucket is occupied).
     const auto& counts = h.bucket_counts();
-    for (size_t i = counts.size(); i > 0 && !h.bounds().empty(); --i) {
-      if (counts[i - 1] == 0) continue;
-      row.max_s = i - 1 < h.bounds().size() ? h.bounds()[i - 1]
+    for (size_t b = counts.size(); b > 0 && !h.bounds().empty(); --b) {
+      if (counts[b - 1] == 0) continue;
+      row.max_s = b - 1 < h.bounds().size() ? h.bounds()[b - 1]
                                             : h.bounds().back();
       break;
     }
@@ -111,7 +60,7 @@ std::string FormatStageBreakdownTable(
   std::string out;
   char line[160];
   std::snprintf(line, sizeof(line), "%-10s %10s %12s %12s %12s %12s\n",
-                "stage", "spans", "mean(s)", "p50(s)", "p95(s)", "max(s)");
+                "stage", "txs", "mean(s)", "p50(s)", "p95(s)", "max(s)");
   out += line;
   for (const auto& s : stages) {
     std::snprintf(line, sizeof(line),

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstddef>
 
+#include "telemetry/metrics.h"
+
 namespace blockoptr {
 
 namespace {
@@ -121,6 +123,11 @@ TxTraceRecorder::TxTraceRecorder(Simulator* sim, TxTraceOptions options)
   scratch_.reserve(256);
   block_scratch_.reserve(64);
   max_chain_.reserve(256);
+}
+
+void TxTraceRecorder::set_stage_histograms(
+    Histogram* const (&stages)[kNumCriticalStages]) {
+  std::copy(stages, stages + kNumCriticalStages, stage_histograms_);
 }
 
 bool TxTraceRecorder::Alive(uint32_t seq) const {
@@ -374,6 +381,9 @@ void TxTraceRecorder::CommitTx(uint64_t tx_id, double client_timestamp,
     summary_.stages[i].service_s += bd.service[i];
     summary_.stages[i].wait_s += bd.wait[i];
     ++summary_.stages[i].count;
+    if (stage_histograms_[i] != nullptr) {
+      stage_histograms_[i]->Observe(bd.span[i]);
+    }
   }
   ++window_committed_;
   ++summary_.committed;

@@ -10,6 +10,8 @@
 
 namespace blockoptr {
 
+class Histogram;
+
 /// Lifecycle stages recorded by the per-transaction flight recorder.
 /// Transaction-scoped stages chain on tx_id; block-scoped stages (Raft and
 /// validation, which act on whole blocks) chain on the orderer payload id
@@ -48,8 +50,15 @@ const char* TxStageName(TxStage stage);
 /// so per-stage shares sum to 1.0 per transaction by construction.
 inline constexpr int kNumCriticalStages = 6;
 
-/// Name of critical-path stage i, aligned with trace_category (the last
-/// stage is "commit" and covers validation + ledger apply).
+/// Critical-path stage indices, in pipeline order.
+namespace critical_stage {
+enum : int { kSubmit = 0, kEndorse, kAssemble, kOrder, kRaft, kCommit };
+}  // namespace critical_stage
+
+/// Name of critical-path stage i: "submit", "endorse", "assemble",
+/// "order", "raft", "commit". The one stage vocabulary of the telemetry
+/// layer: stage histograms, sampler stations and bottleneck verdicts all
+/// use it ("commit" covers validation + ledger apply).
 const char* CriticalStageName(int stage);
 
 /// One packed lifecycle event in the flight-recorder ring.
@@ -73,7 +82,7 @@ static_assert(sizeof(TxTraceEvent) == 32, "flight-recorder events are 32B");
 /// Recorder knobs; all capacities are fixed at construction so the
 /// steady-state append path never allocates.
 struct TxTraceOptions {
-  bool enabled = false;
+  bool enabled = true;
   /// Ring capacity in events (rounded up to a power of two). In-flight
   /// transactions whose oldest events fall out of the ring get truncated
   /// chains (flagged, never silently missing).
@@ -176,8 +185,8 @@ struct TxTraceSummary {
 /// extraction are allocation-free in steady state. Sealing a window copies
 /// at most a handful of exemplar chains — O(windows), like the sampler.
 ///
-/// Single-threaded per channel, like TraceRecorder/MetricsRegistry;
-/// sharded runs own one recorder per channel and merge summaries.
+/// Single-threaded per channel, like MetricsRegistry; sharded runs own one
+/// recorder per channel and merge summaries.
 class TxTraceRecorder {
  public:
   TxTraceRecorder(Simulator* sim, TxTraceOptions options);
@@ -186,6 +195,11 @@ class TxTraceRecorder {
   TxTraceRecorder& operator=(const TxTraceRecorder&) = delete;
 
   const TxTraceOptions& options() const { return options_; }
+
+  /// Histograms that receive every committed transaction's six
+  /// critical-path spans (index = critical stage), exactly the values
+  /// summed into `summary().stages`. Not owned; must outlive the run.
+  void set_stage_histograms(Histogram* const (&stages)[kNumCriticalStages]);
 
   /// Appends a transaction-scoped event at the current virtual time.
   void TxEvent(uint64_t tx_id, TxStage stage, uint16_t actor = 0,
@@ -225,6 +239,19 @@ class TxTraceRecorder {
 
   uint64_t events_appended() const { return summary_.events_appended; }
   uint64_t events_evicted() const { return summary_.events_evicted; }
+
+  /// Visits every event still in the ring, oldest first (ring-sequence
+  /// order): the whole run when it fits, else the last `ring_capacity`
+  /// events. `fn(seq, event)` gets the event's ring sequence number.
+  template <typename Fn>
+  void ForEachRetained(Fn&& fn) const {
+    const uint64_t kept =
+        appended_ < options_.ring_capacity ? appended_
+                                           : options_.ring_capacity;
+    for (uint64_t seq = appended_ - kept; seq < appended_; ++seq) {
+      fn(seq, ring_[seq & mask_]);
+    }
+  }
 
  private:
   /// Fixed-capacity open-addressed map from chain key to ring sequence of
@@ -312,6 +339,8 @@ class TxTraceRecorder {
 
   std::vector<TxTraceEvent> scratch_;        // extracted chain
   std::vector<TxTraceEvent> block_scratch_;  // block-chain leg
+
+  Histogram* stage_histograms_[kNumCriticalStages] = {};
 
   TxTraceSummary summary_;
   bool finalized_ = false;

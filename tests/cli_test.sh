@@ -8,8 +8,8 @@
 #   sweep_exports        `sweep --set=channels` writes one file per point and
 #                        channel, and its stdout does not depend on exports
 #                        or --jobs
-#   malformed_numbers    malformed numeric flags exit non-zero with
-#                        "error: --<flag>: ..."
+#   malformed_numbers    malformed or out-of-domain numeric flags exit 1
+#                        with "error: --<flag>: ..."
 #   unwritable_exports   an export path that cannot be opened exits 1 in
 #                        single-channel run, two-channel run and sweep mode
 set -u
@@ -142,19 +142,23 @@ malformed_numbers() {
   for flag in --txs=abc --txs= --txs --txs=12x --txs=99999999999 \
               --rate=abc --rate=nan --orgs=2.5 --block-count=-5 \
               --txtrace-ring=-1 --seed=-1 --sim-epoch=1s \
-              --channel-weights=1,x; do
+              --channel-weights=1,x --rate=0 --rate=-5 \
+              --txtrace-window=0 --txtrace-window=-1 --stream-window=0; do
     local name=${flag%%=*}
     timeout 60 "$BIN" run "$flag" > /dev/null 2> "$WORK/err.txt"
     local rc=$?
-    [ $rc -ne 0 ] || fail "run $flag exited 0"
     [ $rc -ne 124 ] || fail "run $flag timed out"
+    [ $rc -eq 1 ] || fail "run $flag exited $rc"
     grep -q "^error: $name: " "$WORK/err.txt" ||
       fail "run $flag: unexpected stderr: $(cat "$WORK/err.txt")"
   done
-  timeout 60 "$BIN" sweep --rates=100,abc > /dev/null 2> "$WORK/err.txt" &&
-    fail "sweep --rates=100,abc exited 0"
-  grep -q "^error: --rates: " "$WORK/err.txt" ||
-    fail "sweep --rates: unexpected stderr: $(cat "$WORK/err.txt")"
+  local rates
+  for rates in 100,abc 100,0; do
+    timeout 60 "$BIN" sweep --rates=$rates > /dev/null 2> "$WORK/err.txt" &&
+      fail "sweep --rates=$rates exited 0"
+    grep -q "^error: --rates: " "$WORK/err.txt" ||
+      fail "sweep --rates=$rates: unexpected stderr: $(cat "$WORK/err.txt")"
+  done
 }
 
 unwritable_exports() {

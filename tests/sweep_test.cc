@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "blockopt/metrics/metrics.h"
 #include "blockopt/recommend/recommender.h"
 #include "driver/presets.h"
+#include "telemetry/export.h"
 
 namespace blockoptr {
 namespace {
@@ -249,8 +251,9 @@ TEST(SweepDeterminismTest, FaultedSweepMatchesSerialFieldForField) {
 }
 
 TEST(SweepDeterminismTest, TelemetryRunsAreSafeAndIdenticalAcrossJobs) {
-  // Concurrent runs each own a private Telemetry (TraceRecorder +
-  // MetricsRegistry). Span streams must match the serial run exactly.
+  // Concurrent runs each own a private Telemetry (flight recorder +
+  // MetricsRegistry). Ring dumps and summaries must match the serial run
+  // byte for byte.
   std::vector<ExperimentConfig> configs;
   for (const auto& def : Table3Experiments(200)) {
     auto cfg = MakeSyntheticExperiment(def.workload, def.network);
@@ -265,18 +268,21 @@ TEST(SweepDeterminismTest, TelemetryRunsAreSafeAndIdenticalAcrossJobs) {
     ASSERT_TRUE(parallel[i].ok()) << parallel[i].status();
     ASSERT_NE(serial[i]->telemetry, nullptr);
     ASSERT_NE(parallel[i]->telemetry, nullptr);
-    const auto& a = serial[i]->telemetry->tracer().spans();
-    const auto& b = parallel[i]->telemetry->tracer().spans();
-    ASSERT_EQ(a.size(), b.size()) << "experiment " << i + 1;
-    for (size_t s = 0; s < a.size(); ++s) {
-      EXPECT_EQ(a[s].span_id, b[s].span_id);
-      EXPECT_EQ(a[s].tx_id, b[s].tx_id);
-      EXPECT_EQ(a[s].category, b[s].category);
-      EXPECT_EQ(a[s].name, b[s].name);
-      EXPECT_EQ(a[s].component, b[s].component);
-      EXPECT_EQ(a[s].start, b[s].start);
-      EXPECT_EQ(a[s].end, b[s].end);
-    }
+    const TxTraceRecorder* a = serial[i]->telemetry->txtrace();
+    const TxTraceRecorder* b = parallel[i]->telemetry->txtrace();
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    EXPECT_GT(a->events_appended(), 0u);
+    std::ostringstream a_json, b_json, a_csv, b_csv;
+    WriteTxTraceRingChromeTrace(*a, a_json);
+    WriteTxTraceRingChromeTrace(*b, b_json);
+    WriteTxTraceRingCsv(*a, a_csv);
+    WriteTxTraceRingCsv(*b, b_csv);
+    EXPECT_EQ(a_json.str(), b_json.str()) << "experiment " << i + 1;
+    EXPECT_EQ(a_csv.str(), b_csv.str()) << "experiment " << i + 1;
+    EXPECT_EQ(TxTraceSummaryJson(a->summary()).Dump(),
+              TxTraceSummaryJson(b->summary()).Dump())
+        << "experiment " << i + 1;
     EXPECT_EQ(serial[i]->telemetry->metrics().SnapshotJson().Dump(),
               parallel[i]->telemetry->metrics().SnapshotJson().Dump());
   }

@@ -1,15 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
-#include <sstream>
+#include <map>
 
 #include "common/json.h"
 #include "driver/experiment.h"
 #include "sim/simulator.h"
 #include "telemetry/metrics.h"
+#include "telemetry/bottleneck.h"
 #include "telemetry/telemetry.h"
-#include "telemetry/trace.h"
 #include "workload/synthetic.h"
 
 namespace blockoptr {
@@ -157,152 +156,37 @@ TEST(MetricsTest, EmptyRegistry) {
 }
 
 // ---------------------------------------------------------------------------
-// TraceRecorder
-// ---------------------------------------------------------------------------
-
-TEST(TraceRecorderTest, SpansAreStampedWithVirtualTime) {
-  Simulator sim;
-  TraceRecorder rec(&sim);
-  uint64_t id = 0;
-  sim.ScheduleAt(1.0, [&] {
-    id = rec.Begin(trace_category::kEndorse, "endorse@Org1",
-                   "peer/Org1/endorser", 7);
-    rec.Annotate(id, "policy", "P3");
-  });
-  sim.ScheduleAt(1.5, [&] { rec.End(id); });
-  sim.Run();
-
-  ASSERT_EQ(rec.spans().size(), 1u);
-  EXPECT_EQ(rec.open_spans(), 0u);
-  const Span& span = rec.spans()[0];
-  EXPECT_EQ(span.tx_id, 7u);
-  EXPECT_EQ(span.category, "endorse");
-  EXPECT_DOUBLE_EQ(span.start, 1.0);
-  EXPECT_DOUBLE_EQ(span.end, 1.5);
-  EXPECT_DOUBLE_EQ(span.duration(), 0.5);
-  ASSERT_EQ(span.attrs.size(), 1u);
-  EXPECT_EQ(span.attrs[0].first, "policy");
-}
-
-TEST(TraceRecorderTest, EndOfUnknownIdIsIgnored) {
-  Simulator sim;
-  TraceRecorder rec(&sim);
-  rec.End(0);    // the "never started" sentinel
-  rec.End(999);  // never issued
-  EXPECT_TRUE(rec.spans().empty());
-}
-
-TEST(TraceRecorderTest, UnfinishedSpansStayOpen) {
-  Simulator sim;
-  TraceRecorder rec(&sim);
-  rec.Begin(trace_category::kOrder, "order", "orderer", 1);
-  EXPECT_EQ(rec.open_spans(), 1u);
-  EXPECT_TRUE(rec.spans().empty());
-}
-
-TEST(TraceRecorderTest, RecordCompleteAndInstant) {
-  Simulator sim;
-  TraceRecorder rec(&sim);
-  rec.RecordComplete(trace_category::kCommit, "commit", "ledger", 3, 2.0, 4.5);
-  rec.RecordInstant(trace_category::kAbort, "early_abort", "client/c0", 4);
-  ASSERT_EQ(rec.spans().size(), 2u);
-  EXPECT_DOUBLE_EQ(rec.spans()[0].duration(), 2.5);
-  EXPECT_DOUBLE_EQ(rec.spans()[1].duration(), 0.0);
-  auto cats = rec.Categories();
-  EXPECT_EQ(cats, (std::vector<std::string>{"abort", "commit"}));
-}
-
-TEST(TraceRecorderTest, SpansForTxFiltersByCorrelationId) {
-  Simulator sim;
-  TraceRecorder rec(&sim);
-  rec.RecordComplete(trace_category::kSubmit, "submit", "client/a", 1, 0, 1);
-  rec.RecordComplete(trace_category::kSubmit, "submit", "client/a", 2, 0, 1);
-  rec.RecordComplete(trace_category::kCommit, "commit", "ledger", 1, 1, 2);
-  auto spans = rec.SpansForTx(1);
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0]->category, "submit");
-  EXPECT_EQ(spans[1]->category, "commit");
-}
-
-TEST(TraceRecorderTest, ChromeTraceExportIsValidAndComplete) {
-  Simulator sim;
-  TraceRecorder rec(&sim);
-  rec.RecordComplete(trace_category::kSubmit, "submit", "client/c0", 1, 0.5,
-                     1.0);
-  rec.RecordComplete(trace_category::kCommit, "commit", "ledger", 1, 1.0, 2.0);
-
-  std::ostringstream out;
-  rec.WriteChromeTrace(out);
-  auto parsed = JsonValue::Parse(out.str());
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-
-  EXPECT_EQ((*parsed)["displayTimeUnit"].as_string(), "ms");
-  const auto& events = (*parsed)["traceEvents"].as_array();
-  // 2 process_name metadata events + 2 complete events.
-  ASSERT_EQ(events.size(), 4u);
-  std::set<std::string> process_names;
-  size_t complete = 0;
-  for (const auto& ev : events) {
-    if (ev["ph"].as_string() == "M") {
-      EXPECT_EQ(ev["name"].as_string(), "process_name");
-      process_names.insert(ev["args"]["name"].as_string());
-    } else {
-      ASSERT_EQ(ev["ph"].as_string(), "X");
-      ++complete;
-      EXPECT_GT(ev["pid"].as_number(), 0);
-      EXPECT_EQ(ev["tid"].as_number(), 1);
-      EXPECT_FALSE(ev["cat"].as_string().empty());
-      EXPECT_GE(ev["dur"].as_number(), 0);
-    }
-  }
-  EXPECT_EQ(complete, 2u);
-  EXPECT_EQ(process_names,
-            (std::set<std::string>{"client/c0", "ledger"}));
-  // Virtual seconds map to microseconds.
-  EXPECT_EQ(events[2]["ts"].as_number(), 0.5e6);
-  EXPECT_EQ(events[2]["dur"].as_number(), 0.5e6);
-}
-
-TEST(TraceRecorderTest, CsvExportHasHeaderAndRows) {
-  Simulator sim;
-  TraceRecorder rec(&sim);
-  rec.RecordComplete(trace_category::kOrder, "order", "orderer", 9, 1.0, 2.0);
-  std::ostringstream out;
-  rec.WriteCsv(out);
-  std::string text = out.str();
-  EXPECT_EQ(text.rfind(
-                "span_id,tx_id,category,name,component,start_s,end_s,"
-                "duration_s,attrs\n",
-                0),
-            0u);
-  EXPECT_NE(text.find("order,order,orderer"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
 // Stage breakdown
 // ---------------------------------------------------------------------------
 
 TEST(StageBreakdownTest, GroupsByCategoryInPipelineOrder) {
-  Simulator sim;
-  TraceRecorder rec(&sim);
-  rec.RecordComplete(trace_category::kValidate, "v", "peer", 0, 0, 2.0);
-  rec.RecordComplete(trace_category::kSubmit, "s", "client", 1, 0, 1.0);
-  rec.RecordComplete(trace_category::kSubmit, "s", "client", 2, 0, 3.0);
-  rec.RecordComplete("zzz_custom", "c", "x", 0, 0, 1.0);
+  MetricsRegistry reg;
+  // Registered out of pipeline order; histograms that are not stage
+  // histograms are ignored.
+  reg.histogram(StageHistogramName(critical_stage::kCommit)).Observe(2.0);
+  reg.histogram(StageHistogramName(critical_stage::kSubmit)).Observe(0.001);
+  reg.histogram(StageHistogramName(critical_stage::kSubmit)).Observe(0.003);
+  reg.histogram("orderer.block_fill_ratio", MetricsRegistry::RatioBounds())
+      .Observe(0.5);
 
-  auto rows = ComputeStageBreakdown(rec);
-  ASSERT_EQ(rows.size(), 3u);
+  auto rows = ComputeStageBreakdown(reg);
+  ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].stage, "submit");  // pipeline order, not alphabetical
-  EXPECT_EQ(rows[1].stage, "validate");
-  EXPECT_EQ(rows[2].stage, "zzz_custom");
+  EXPECT_EQ(rows[1].stage, "commit");
   EXPECT_EQ(rows[0].count, 2u);
-  EXPECT_DOUBLE_EQ(rows[0].mean_s, 2.0);
-  EXPECT_DOUBLE_EQ(rows[0].max_s, 3.0);
+  EXPECT_DOUBLE_EQ(rows[0].mean_s, 0.002);
+  // max_s is the upper bound of the highest occupied bucket.
+  const Histogram& submit =
+      reg.histograms().at(StageHistogramName(critical_stage::kSubmit));
+  EXPECT_GE(rows[0].max_s, 0.003);
+  EXPECT_TRUE(std::find(submit.bounds().begin(), submit.bounds().end(),
+                        rows[0].max_s) != submit.bounds().end());
 
   std::string table = FormatStageBreakdownTable(rows);
   EXPECT_NE(table.find("stage"), std::string::npos);
   EXPECT_NE(table.find("submit"), std::string::npos);
   EXPECT_EQ(FormatStageBreakdownTable({}), "");
+  EXPECT_TRUE(ComputeStageBreakdown(MetricsRegistry{}).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -329,45 +213,56 @@ TEST(TracedExperimentTest, CoversThePipelineStages) {
   ASSERT_TRUE(out.ok()) << out.status();
   ASSERT_NE(out->telemetry, nullptr);
 
-  auto cats = out->telemetry->tracer().Categories();
-  std::set<std::string> seen(cats.begin(), cats.end());
-  for (const char* required :
-       {trace_category::kSubmit, trace_category::kEndorse,
-        trace_category::kAssemble, trace_category::kOrder,
-        trace_category::kRaft, trace_category::kValidate,
-        trace_category::kCommit}) {
-    EXPECT_TRUE(seen.count(required)) << "missing category " << required;
+  // Default options run the flight recorder, which observes every
+  // committed transaction into all six stage histograms.
+  const MetricsRegistry& m = out->telemetry->metrics();
+  for (int i = 0; i < kNumCriticalStages; ++i) {
+    auto it = m.histograms().find(StageHistogramName(i));
+    ASSERT_NE(it, m.histograms().end()) << CriticalStageName(i);
+    EXPECT_EQ(it->second.count(), out->report.total_committed())
+        << CriticalStageName(i);
   }
-  EXPECT_GE(seen.size(), 5u);
+  EXPECT_GT(out->report.total_committed(), 0u);
 }
 
-TEST(TracedExperimentTest, SpanLatencyMatchesLedgerLatencyExactly) {
+TEST(TracedExperimentTest, StageHistogramsEqualTheCriticalPathSums) {
+  ExperimentConfig cfg = SmallExperiment(500);
+  cfg.enable_telemetry = true;
+  auto out = RunExperiment(cfg);
+  ASSERT_TRUE(out.ok()) << out.status();
+  const TxTraceSummary& s = out->telemetry->txtrace()->summary();
+  const MetricsRegistry& m = out->telemetry->metrics();
+  for (int i = 0; i < kNumCriticalStages; ++i) {
+    const Histogram& h = m.histograms().at(StageHistogramName(i));
+    // The same values, summed in the same order: exact equality.
+    EXPECT_EQ(h.count(), s.stages[i].count) << CriticalStageName(i);
+    EXPECT_EQ(h.sum(), s.stages[i].span_s) << CriticalStageName(i);
+  }
+}
+
+TEST(TracedExperimentTest, ExemplarLatencyMatchesLedgerLatencyExactly) {
   ExperimentConfig cfg = SmallExperiment();
   cfg.enable_telemetry = true;
   auto out = RunExperiment(cfg);
   ASSERT_TRUE(out.ok()) << out.status();
 
-  const TraceRecorder& tracer = out->telemetry->tracer();
-  size_t checked = 0;
+  std::map<uint64_t, double> ledger_latency;
   out->ledger.ForEachTransaction([&](const Block&, const Transaction& tx) {
-    if (tx.is_config || tx.status != TxStatus::kValid) return;
-    const Span* submit = nullptr;
-    const Span* commit = nullptr;
-    for (const Span* span : tracer.SpansForTx(tx.tx_id)) {
-      if (span->category == trace_category::kSubmit) submit = span;
-      if (span->category == trace_category::kCommit) commit = span;
-    }
-    ASSERT_NE(submit, nullptr) << "tx " << tx.tx_id;
-    ASSERT_NE(commit, nullptr) << "tx " << tx.tx_id;
-    // Span boundaries reuse the exact timestamps the ledger records, so
-    // this must hold with exact double equality, not just approximately.
-    EXPECT_EQ(submit->start, tx.client_timestamp);
-    EXPECT_EQ(commit->end, tx.commit_timestamp);
-    EXPECT_EQ(commit->end - submit->start,
-              tx.commit_timestamp - tx.client_timestamp);
-    ++checked;
+    if (tx.is_config) return;
+    ledger_latency[tx.tx_id] = tx.commit_timestamp - tx.client_timestamp;
   });
-  EXPECT_EQ(checked, out->report.successful());
+  size_t checked = 0;
+  for (const TxTraceWindow& w :
+       out->telemetry->txtrace()->summary().windows) {
+    for (const TxTraceExemplar& ex : w.exemplars) {
+      auto it = ledger_latency.find(ex.tx_id);
+      ASSERT_NE(it, ledger_latency.end()) << "tx " << ex.tx_id;
+      // The recorder reuses the exact timestamps the ledger records, so
+      // this must hold with exact double equality, not just approximately.
+      EXPECT_EQ(ex.latency_s, it->second) << "tx " << ex.tx_id;
+      ++checked;
+    }
+  }
   EXPECT_GT(checked, 0u);
 }
 
@@ -376,8 +271,13 @@ TEST(TracedExperimentTest, StageBreakdownAttachedToReport) {
   cfg.enable_telemetry = true;
   auto out = RunExperiment(cfg);
   ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_FALSE(out->report.stage_breakdown().empty());
-  EXPECT_NE(out->report.StageBreakdownTable().find("endorse"),
+  const BottleneckReport report =
+      ComputeBottleneckReport(*out->telemetry, out->sim_end_time);
+  ASSERT_EQ(report.stages.size(), static_cast<size_t>(kNumCriticalStages));
+  for (int i = 0; i < kNumCriticalStages; ++i) {
+    EXPECT_EQ(report.stages[i].stage, CriticalStageName(i));
+  }
+  EXPECT_NE(FormatStageBreakdownTable(report.stages).find("endorse"),
             std::string::npos);
 }
 
@@ -419,7 +319,6 @@ TEST(TracedExperimentTest, TelemetryDoesNotPerturbTheSimulation) {
   EXPECT_EQ(off->ledger.NumBlocks(), on->ledger.NumBlocks());
   EXPECT_DOUBLE_EQ(off->sim_end_time, on->sim_end_time);
   EXPECT_EQ(off->telemetry, nullptr);
-  EXPECT_TRUE(off->report.stage_breakdown().empty());
 }
 
 TEST(TracedExperimentTest, NoSpanLeftOpenAtTheEnd) {
@@ -427,7 +326,20 @@ TEST(TracedExperimentTest, NoSpanLeftOpenAtTheEnd) {
   cfg.enable_telemetry = true;
   auto out = RunExperiment(cfg);
   ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_EQ(out->telemetry->tracer().open_spans(), 0u);
+  // The whole run fits in the ring: every submitted transaction's chain
+  // ends in a commit or an early abort.
+  const TxTraceRecorder& rec = *out->telemetry->txtrace();
+  ASSERT_EQ(rec.events_evicted(), 0u);
+  uint64_t submits = 0, terminals = 0;
+  rec.ForEachRetained([&](uint64_t, const TxTraceEvent& ev) {
+    if (ev.stage == TxStage::kSubmit) ++submits;
+    if (ev.stage == TxStage::kCommit || ev.stage == TxStage::kEarlyAbort) {
+      ++terminals;
+    }
+  });
+  EXPECT_EQ(submits, cfg.schedule.size());
+  EXPECT_EQ(terminals, submits);
+  EXPECT_EQ(rec.summary().committed + rec.summary().aborted, submits);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // per-channel summary merging, and the disabled recorder's invisibility.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -376,6 +377,77 @@ TEST(TxTraceExportTest, ChromeTraceIsValidJsonWithFlowArrows) {
   EXPECT_EQ(flow_starts, flow_ends);  // every chain's arrow terminates
 }
 
+/// Number of events a ring dump must hold: the whole run when it fits.
+uint64_t RetainedEvents(const TxTraceRecorder& rec) {
+  const uint64_t cap = rec.options().ring_capacity;
+  return rec.events_appended() < cap ? rec.events_appended() : cap;
+}
+
+/// Checks one ring dump pair (Chrome JSON + CSV) against the recorder and
+/// returns them concatenated for byte comparisons.
+std::string CheckedRingDump(const TxTraceRecorder& rec) {
+  std::ostringstream json, csv;
+  WriteTxTraceRingChromeTrace(rec, json);
+  WriteTxTraceRingCsv(rec, csv);
+  auto parsed = JsonValue::Parse(json.str());
+  EXPECT_TRUE(parsed.ok()) << parsed.status();
+  if (!parsed.ok()) return "";
+  uint64_t slices = 0, complete = 0;
+  for (const JsonValue& ev : (*parsed)["traceEvents"].as_array()) {
+    const std::string& ph = ev["ph"].as_string();
+    if (ph == "X" || ph == "i") ++slices;
+    if (ph == "X") ++complete;
+  }
+  EXPECT_EQ(slices, RetainedEvents(rec));
+  EXPECT_GT(complete, 0u);
+  const std::string text = csv.str();
+  EXPECT_EQ(text.rfind("seq,tx_id,stage,t_s,dur_s,actor,block_seq,prev,"
+                       "flags\n",
+                       0),
+            0u);
+  const uint64_t lines = static_cast<uint64_t>(
+      std::count(text.begin(), text.end(), '\n'));
+  EXPECT_EQ(lines, 1 + RetainedEvents(rec));
+  return json.str() + text;
+}
+
+TEST(TxTraceExportTest, RingDumpHasOneSlicePerRetainedEvent) {
+  auto out = RunExperiment(TracedExperiment(400, 200));
+  ASSERT_TRUE(out.ok()) << out.status();
+  const TxTraceRecorder& rec = *out->telemetry->txtrace();
+  ASSERT_EQ(rec.events_evicted(), 0u);  // the whole run fits
+  CheckedRingDump(rec);
+
+  // A ring smaller than the run keeps exactly its last `capacity` events.
+  ExperimentConfig small = TracedExperiment(400, 200);
+  small.telemetry_options.txtrace.ring_capacity = 256;
+  auto evicted = RunExperiment(small);
+  ASSERT_TRUE(evicted.ok()) << evicted.status();
+  const TxTraceRecorder& ring = *evicted->telemetry->txtrace();
+  EXPECT_GT(ring.events_evicted(), 0u);
+  EXPECT_EQ(RetainedEvents(ring), 256u);
+  CheckedRingDump(ring);
+  uint64_t first = 0, count = 0;
+  ring.ForEachRetained([&](uint64_t seq, const TxTraceEvent&) {
+    if (count++ == 0) first = seq;
+    EXPECT_EQ(seq, first + count - 1);  // ring-sequence order
+  });
+  EXPECT_EQ(first + count, ring.events_appended());
+}
+
+TEST(TxTraceExportTest, RingDumpIsIdenticalForEverySimThreadCount) {
+  std::vector<std::string> dumps[2];
+  for (int t = 0; t < 2; ++t) {
+    auto out = RunExperiment(TracedExperiment(1200, 300, 2, t + 1));
+    ASSERT_TRUE(out.ok()) << out.status();
+    ASSERT_EQ(out->channels.size(), 2u);
+    for (const ExperimentOutput& ch : out->channels) {
+      dumps[t].push_back(CheckedRingDump(*ch.telemetry->txtrace()));
+    }
+  }
+  EXPECT_EQ(dumps[0], dumps[1]);
+}
+
 TEST(TxTraceExportTest, MetricsJsonAndPrometheusCarryTxTraceSections) {
   auto out = RunExperiment(TracedExperiment(400, 200));
   ASSERT_TRUE(out.ok()) << out.status();
@@ -421,7 +493,8 @@ TEST(TxTraceDisabledTest, RecorderIsAbsentAndExportsOmitTheSections) {
   wl.send_rate = 200;
   ExperimentConfig cfg =
       MakeSyntheticExperiment(wl, NetworkConfig::Defaults());
-  cfg.enable_telemetry = true;  // default options: txtrace off
+  cfg.enable_telemetry = true;
+  cfg.telemetry_options = TelemetryOptions::SamplerOnly();
   auto out = RunExperiment(cfg);
   ASSERT_TRUE(out.ok()) << out.status();
   EXPECT_EQ(out->telemetry->txtrace(), nullptr);
@@ -432,6 +505,8 @@ TEST(TxTraceDisabledTest, RecorderIsAbsentAndExportsOmitTheSections) {
   std::ostringstream prom;
   WritePrometheusText(*out->telemetry, prom);
   EXPECT_EQ(prom.str().find("txtrace"), std::string::npos);
+  // No recorder, no stage histograms: the breakdown is empty.
+  EXPECT_TRUE(ComputeStageBreakdown(out->telemetry->metrics()).empty());
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ struct CliArgs {
   }
 };
 
-enum class NumberKind { kInt, kNonNegativeInt, kDouble };
+enum class NumberKind { kInt, kNonNegativeInt, kDouble, kPositiveDouble };
 
 /// Why `text` is not a valid `kind` number, or "" when it is.
 std::string NumberError(const std::string& text, NumberKind kind) {
@@ -87,11 +87,14 @@ std::string NumberError(const std::string& text, NumberKind kind) {
   }
   errno = 0;
   char* end = nullptr;
-  if (kind == NumberKind::kDouble) {
+  if (kind == NumberKind::kDouble || kind == NumberKind::kPositiveDouble) {
     const double v = std::strtod(text.c_str(), &end);
     if (*end != '\0') return "not a number: '" + text + "'";
     if (errno == ERANGE || !std::isfinite(v)) {
       return "out of range: '" + text + "'";
+    }
+    if (kind == NumberKind::kPositiveDouble && !(v > 0)) {
+      return "must be positive: '" + text + "'";
     }
     return "";
   }
@@ -107,7 +110,8 @@ std::string NumberError(const std::string& text, NumberKind kind) {
 }
 
 /// Rejects any malformed numeric flag before a command runs. Flags cast to
-/// unsigned must not be negative; list flags check every element.
+/// unsigned must not be negative; a send rate or a window length must be
+/// positive; list flags check every element.
 bool ValidateNumericFlags(const CliArgs& args) {
   struct NumericFlag {
     const char* name;
@@ -124,16 +128,16 @@ bool ValidateNumericFlags(const CliArgs& args) {
       {"seed", kNonNegativeInt},
       {"block-count", kNonNegativeInt},
       {"txtrace-ring", kNonNegativeInt},
-      {"rate", kDouble},
+      {"rate", kPositiveDouble},
       {"key-skew", kDouble},
       {"tx-skew", kDouble},
       {"endorser-skew", kDouble},
       {"block-timeout", kDouble},
       {"sim-epoch", kDouble},
       {"sample-period", kDouble},
-      {"txtrace-window", kDouble},
-      {"stream-window", kDouble},
-      {"rates", kDouble, /*list=*/true},
+      {"txtrace-window", kPositiveDouble},
+      {"stream-window", kPositiveDouble},
+      {"rates", kPositiveDouble, /*list=*/true},
       {"block-counts", kNonNegativeInt, /*list=*/true},
       {"channel-weights", kDouble, /*list=*/true},
   };
@@ -216,10 +220,12 @@ int Usage() {
       "  --out-xes=F      export the event log as XES (ProM/Disco)\n"
       "  --out-dot=F      export the mined Petri net as Graphviz DOT\n"
       "\n"
-      "observability (any of these enables telemetry for the run):\n"
-      "  --trace-out=F      export Chrome trace-event JSON (open in\n"
-      "                     Perfetto / chrome://tracing)\n"
-      "  --trace-csv=F      export the span dump as CSV\n"
+      "observability (any of these enables telemetry for the run; the\n"
+      "flight recorder then runs and feeds the per-stage latency table):\n"
+      "  --trace-out=F      export every lifecycle event still in the\n"
+      "                     flight-recorder ring as Chrome trace-event\n"
+      "                     JSON (open in Perfetto / chrome://tracing)\n"
+      "  --trace-csv=F      export the same ring events as CSV\n"
       "  --metrics-out=F    export metrics + time series + bottleneck\n"
       "                     attribution as JSON\n"
       "  --prom-out=F       export Prometheus text exposition\n"
@@ -227,18 +233,20 @@ int Usage() {
       "                     SVG charts + bottleneck attribution)\n"
       "  --sample-period=S  continuous-sampler period in sim seconds\n"
       "                     (default 0.5; 0 disables the sampler)\n"
-      "  --txtrace          per-transaction flight recorder: packed\n"
-      "                     lifecycle events, critical-path extraction,\n"
-      "                     tail-latency exemplars (p50/p95/p99/max per\n"
-      "                     window) in the JSON/Prometheus/HTML exports\n"
+      "  --txtrace          turn telemetry on without an export; the\n"
+      "                     per-transaction flight recorder (packed\n"
+      "                     lifecycle events, critical-path stage\n"
+      "                     breakdown, tail-latency exemplars: p50/p95/\n"
+      "                     p99/max per window) runs whenever telemetry\n"
+      "                     does and feeds the JSON/Prometheus/HTML exports\n"
       "  --txtrace-out=F    export the exemplar causal chains as Chrome\n"
-      "                     trace-event JSON with flow arrows (implies\n"
-      "                     --txtrace; open in Perfetto)\n"
+      "                     trace-event JSON with flow arrows (open in\n"
+      "                     Perfetto)\n"
       "  --txtrace-ring=N   flight-recorder ring capacity in events\n"
-      "                     (default 65536, rounded to a power of two;\n"
-      "                     implies --txtrace)\n"
-      "  --txtrace-window=S exemplar window in sim seconds (default 5;\n"
-      "                     implies --txtrace)\n"
+      "                     (default 65536, rounded to a power of two);\n"
+      "                     --trace-out keeps the last N events\n"
+      "  --txtrace-window=S exemplar window in sim seconds (default 5,\n"
+      "                     must be positive)\n"
       "\n"
       "streaming analysis (online, fed at block-commit time):\n"
       "  --stream-analysis  derive the blockchain log incrementally and\n"
@@ -384,25 +392,21 @@ Result<ExperimentConfig> BuildExperiment(const CliArgs& args) {
   return cfg;
 }
 
-/// Whether the run needs telemetry, and with which aspects.
-/// Any txtrace flag turns the flight recorder on; --txtrace-out /
-/// --txtrace-ring / --txtrace-window imply --txtrace.
-bool WantsTxTrace(const CliArgs& args) {
-  return args.Has("txtrace") || args.Has("txtrace-out") ||
-         args.Has("txtrace-ring") || args.Has("txtrace-window");
-}
-
+/// Whether the run needs telemetry: any export or telemetry knob turns it
+/// on, and with it every aspect (the flight recorder included).
 bool WantsTelemetry(const CliArgs& args) {
-  return args.Has("trace-out") || args.Has("trace-csv") ||
-         args.Has("metrics-out") || args.Has("prom-out") ||
-         args.Has("report-out") || args.Has("sample-period") ||
-         WantsTxTrace(args);
+  for (const char* flag :
+       {"trace-out", "trace-csv", "metrics-out", "prom-out", "report-out",
+        "sample-period", "txtrace", "txtrace-out", "txtrace-ring",
+        "txtrace-window"}) {
+    if (args.Has(flag)) return true;
+  }
+  return false;
 }
 
 TelemetryOptions TelemetryOptionsFromArgs(const CliArgs& args) {
   TelemetryOptions opts;
   opts.sample_period_s = args.GetDouble("sample-period", 0.5);
-  opts.txtrace.enabled = WantsTxTrace(args);
   opts.txtrace.ring_capacity =
       static_cast<uint32_t>(args.GetInt("txtrace-ring", 1 << 16));
   opts.txtrace.window_s = args.GetDouble("txtrace-window", 5.0);
@@ -606,20 +610,19 @@ bool ExportChannel(const CliArgs& args, const ExperimentOutput& ch,
   };
   if (ch.telemetry) {
     const Telemetry& t = *ch.telemetry;
-    if (!write("trace-out", "Chrome trace (open in Perfetto)",
-               [&](std::ostream& f) { t.tracer().WriteChromeTrace(f); })) {
-      return false;
-    }
-    if (!write("trace-csv", "span CSV",
-               [&](std::ostream& f) { t.tracer().WriteCsv(f); })) {
-      return false;
-    }
-    if (t.txtrace() != nullptr &&
-        !write("txtrace-out", "txtrace exemplar chains (open in Perfetto)",
-               [&](std::ostream& f) {
-                 WriteTxTraceChromeTrace(t.txtrace()->summary(), f);
-               })) {
-      return false;
+    if (const TxTraceRecorder* rec = t.txtrace()) {
+      if (!write("trace-out", "Chrome trace (open in Perfetto)",
+                 [&](std::ostream& f) {
+                   WriteTxTraceRingChromeTrace(*rec, f);
+                 }) ||
+          !write("trace-csv", "trace event CSV",
+                 [&](std::ostream& f) { WriteTxTraceRingCsv(*rec, f); }) ||
+          !write("txtrace-out", "txtrace exemplar chains (open in Perfetto)",
+                 [&](std::ostream& f) {
+                   WriteTxTraceChromeTrace(rec->summary(), f);
+                 })) {
+        return false;
+      }
     }
     if (!write("metrics-out", "metrics snapshot", [&](std::ostream& f) {
           JsonValue snapshot = TelemetrySnapshotJson(t, &bottleneck);
@@ -757,8 +760,9 @@ void PrintChannelSummaries(const ExperimentOutput& out, int sim_threads) {
 void PrintBottleneckTables(const ExperimentOutput& out,
                            const BottleneckReport& bottleneck) {
   if (!out.telemetry) return;
-  std::printf("per-stage latency breakdown (from lifecycle spans):\n%s\n",
-              out.report.StageBreakdownTable().c_str());
+  std::printf("per-stage latency breakdown (critical path of committed "
+              "transactions):\n%s\n",
+              FormatStageBreakdownTable(bottleneck.stages).c_str());
   std::string table = FormatBottleneckTable(bottleneck);
   if (!table.empty()) {
     std::printf("bottleneck attribution (sampled every %.2fs):\n%s",
