@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -409,6 +410,80 @@ std::string CheckedRingDump(const TxTraceRecorder& rec) {
       std::count(text.begin(), text.end(), '\n'));
   EXPECT_EQ(lines, 1 + RetainedEvents(rec));
   return json.str() + text;
+}
+
+TEST(TxTraceExportTest, RingChromeTraceIsValidAndComplete) {
+  auto out = RunExperiment(TracedExperiment(200, 200));
+  ASSERT_TRUE(out.ok()) << out.status();
+  const TxTraceRecorder& rec = *out->telemetry->txtrace();
+  ASSERT_EQ(rec.events_evicted(), 0u);
+
+  std::ostringstream json;
+  WriteTxTraceRingChromeTrace(rec, json);
+  auto parsed = JsonValue::Parse(json.str());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ((*parsed)["displayTimeUnit"].as_string(), "ms");
+  const auto& events = (*parsed)["traceEvents"].as_array();
+  // Six process_name metadata events, then one slice per retained event.
+  ASSERT_EQ(events.size(), 6 + RetainedEvents(rec));
+  std::set<std::string> process_names;
+  std::set<double> committed_tids;
+  size_t complete = 0;
+  for (const auto& ev : events) {
+    const std::string& ph = ev["ph"].as_string();
+    if (ph == "M") {
+      EXPECT_EQ(ev["name"].as_string(), "process_name");
+      process_names.insert(ev["args"]["name"].as_string());
+      continue;
+    }
+    ASSERT_TRUE(ph == "X" || ph == "i") << ph;
+    EXPECT_GE(ev["pid"].as_number(), 1);
+    EXPECT_LE(ev["pid"].as_number(), 6);
+    EXPECT_EQ(ev["cat"].as_string(), "txtrace");
+    EXPECT_EQ(ev["tid"].as_number(), ev["args"]["tx_id"].as_number());
+    // Slices start at t - dur; dur travels as float, so a slice ending a
+    // service that began at t=0 may start a float rounding (~0.01 us) early.
+    EXPECT_GE(ev["ts"].as_number(), -0.01);
+    if (ph == "X") {
+      ++complete;
+      EXPECT_GT(ev["dur"].as_number(), 0);
+    }
+    if (ev["name"].as_string() == "commit") {
+      committed_tids.insert(ev["tid"].as_number());
+    }
+  }
+  EXPECT_EQ(process_names,
+            (std::set<std::string>{"client", "endorser", "orderer", "raft",
+                                   "validator", "ledger"}));
+  EXPECT_GT(complete, 0u);
+  // Every transaction of the run reaches the ledger: none is lost.
+  EXPECT_EQ(committed_tids.size(), 200u);
+}
+
+TEST(TxTraceExportTest, RingCsvHasHeaderAndRows) {
+  auto out = RunExperiment(TracedExperiment(50, 200));
+  ASSERT_TRUE(out.ok()) << out.status();
+  const TxTraceRecorder& rec = *out->telemetry->txtrace();
+
+  std::ostringstream csv;
+  WriteTxTraceRingCsv(rec, csv);
+  const std::string text = csv.str();
+  EXPECT_EQ(text.rfind("seq,tx_id,stage,t_s,dur_s,actor,block_seq,prev,"
+                       "flags\n",
+                       0),
+            0u);
+  std::istringstream lines(text);
+  std::string line;
+  std::getline(lines, line);  // header
+  uint64_t rows = 0;
+  while (std::getline(lines, line)) {
+    EXPECT_EQ(std::count(line.begin(), line.end(), ','), 8) << line;
+    EXPECT_EQ(line.rfind(std::to_string(rows) + ",", 0), 0u) << line;
+    ++rows;
+  }
+  EXPECT_EQ(rows, RetainedEvents(rec));
+  EXPECT_NE(text.find(",submit,"), std::string::npos);
+  EXPECT_NE(text.find(",commit,"), std::string::npos);
 }
 
 TEST(TxTraceExportTest, RingDumpHasOneSlicePerRetainedEvent) {
