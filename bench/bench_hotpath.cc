@@ -103,7 +103,8 @@ struct ValidateFixture {
         rq.end_key = Key(start + kRangeSpan);
         for (uint64_t k = start; k < start + kRangeSpan; ++k) {
           rq.results.push_back(
-              ReadItem{Key(k), Version{1, static_cast<uint32_t>(k % 1000)}});
+              RangeResult{GlobalKeyInterner().Intern(Key(k)),
+                          Version{1, static_cast<uint32_t>(k % 1000)}});
         }
         tx.rwset.range_queries.push_back(std::move(rq));
       }

@@ -1,9 +1,11 @@
 #include "blockopt/apply/optimizer.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
-#include "driver/sweep.h"
+#include "chaincode/chaincode.h"
+#include "common/thread_pool.h"
 
 namespace blockoptr {
 
@@ -181,9 +183,8 @@ Result<WhatIfReport> EvaluateWhatIf(const ExperimentConfig& base,
                                     const std::vector<Recommendation>& recs,
                                     const WhatIfOptions& options) {
   // Materialize every optimized configuration up front (cheap, and any
-  // invalid recommendation fails before a single run starts), then hand
-  // the batch to the sweep engine: one config per single-recommendation
-  // run plus the all-recommendations config last.
+  // invalid recommendation fails before a single run starts): one config
+  // per single-recommendation run plus the all-recommendations config last.
   std::vector<ExperimentConfig> configs;
   configs.reserve(recs.size() + 1);
   for (const auto& rec : recs) {
@@ -195,18 +196,36 @@ Result<WhatIfReport> EvaluateWhatIf(const ExperimentConfig& base,
                              ApplyOptimizations(base, recs, options.apply));
   configs.push_back(std::move(combined_cfg));
 
-  SweepRunner runner(SweepOptions{options.jobs});
-  auto outputs = runner.Run(configs);
+  // Warm the process-wide registry before workers only read it (the
+  // SweepRunner contract). Each re-run keeps its report alone, so its
+  // ledger is freed when that run ends, not when the last one does. The
+  // combined run is usually the slowest, so it is submitted first.
+  (void)ChaincodeRegistry::Global();
+  auto run = [&configs](size_t i) -> Result<PerformanceReport> {
+    auto out = RunExperiment(configs[i]);
+    if (!out.ok()) return out.status();
+    return std::move(out->report);
+  };
+  const size_t combined = recs.size();
+  std::vector<std::function<Result<PerformanceReport>()>> tasks;
+  tasks.reserve(configs.size());
+  tasks.emplace_back([&run, combined] { return run(combined); });
+  for (size_t i = 0; i < recs.size(); ++i) {
+    tasks.emplace_back([&run, i] { return run(i); });
+  }
+  auto reports =
+      RunAll<Result<PerformanceReport>>(options.jobs, std::move(tasks));
 
+  // reports[0] is the combined run; reports[i + 1] is recs[i] alone.
   WhatIfReport report;
   report.individual.reserve(recs.size());
   for (size_t i = 0; i < recs.size(); ++i) {
-    if (!outputs[i].ok()) return outputs[i].status();
+    if (!reports[i + 1].ok()) return reports[i + 1].status();
     report.individual.push_back(
-        WhatIfEntry{recs[i], std::move(outputs[i]->report)});
+        WhatIfEntry{recs[i], std::move(*reports[i + 1])});
   }
-  if (!outputs.back().ok()) return outputs.back().status();
-  report.combined = std::move(outputs.back()->report);
+  if (!reports[0].ok()) return reports[0].status();
+  report.combined = std::move(*reports[0]);
   return report;
 }
 

@@ -41,7 +41,7 @@ void BlockchainLog::EntryFromTransaction(const Block& block, uint32_t tx_pos,
   for (const auto& r : tx.rwset.reads) e.read_keys.push_back(r.key);
   for (const auto& rq : tx.rwset.range_queries) {
     e.range_bounds.emplace_back(rq.start_key, rq.end_key);
-    for (const auto& r : rq.results) e.read_keys.push_back(r.key);
+    for (const auto& r : rq.results) e.read_keys.emplace_back(r.key());
   }
   std::sort(e.read_keys.begin(), e.read_keys.end());
   e.read_keys.erase(std::unique(e.read_keys.begin(), e.read_keys.end()),

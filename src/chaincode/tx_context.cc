@@ -73,8 +73,7 @@ void TxContext::GetStateByRange(std::string_view start_key,
   const size_t ns_prefix = ns_stack_.back().size() + 1;
   store_->RangeVisit(rq.start_key, rq.end_key,
                      [&](std::string_view k, const VersionedValue& vv) {
-                       rq.results.push_back(
-                           ReadItem{std::string(k), vv.version});
+                       rq.results.push_back(RangeResult{vv.id, vv.version});
                        visit(k.substr(ns_prefix), vv.value);
                        return true;
                      });

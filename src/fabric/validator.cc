@@ -23,22 +23,20 @@ bool ReadItemCurrent(const ReadItem& r, const VersionedStore& state) {
 }
 
 bool RangeQueryCurrent(const RangeQueryInfo& rq, const VersionedStore& state) {
-  // Re-executes the range as a version-only scan: no key or value is ever
-  // copied, and the first divergence stops the walk.
+  // Re-executes the range and compares (key id, version) per entry: no key
+  // string is read or copied, and the first divergence stops the walk.
   size_t i = 0;
   bool matches = true;
-  state.RangeVersions(
-      rq.start_key, rq.end_key,
-      [&](std::string_view key, const Version& version) {
-        if (i >= rq.results.size() || rq.results[i].key != key ||
-            !rq.results[i].version.has_value() ||
-            *rq.results[i].version != version) {
-          matches = false;
-          return false;
-        }
-        ++i;
-        return true;
-      });
+  state.RangeVisit(rq.start_key, rq.end_key,
+                   [&](std::string_view, const VersionedValue& vv) {
+                     if (i >= rq.results.size() ||
+                         rq.results[i] != RangeResult{vv.id, vv.version}) {
+                       matches = false;
+                       return false;
+                     }
+                     ++i;
+                     return true;
+                   });
   // A shorter current range (deleted keys) must also be a phantom.
   return matches && i == rq.results.size();
 }

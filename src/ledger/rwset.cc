@@ -24,7 +24,7 @@ std::vector<std::string> ReadWriteSet::ReadKeys() const {
   keys.reserve(reads.size());
   for (const auto& r : reads) keys.push_back(r.key);
   for (const auto& rq : range_queries) {
-    for (const auto& r : rq.results) keys.push_back(r.key);
+    for (const auto& r : rq.results) keys.emplace_back(r.key());
   }
   SortDedup(keys);
   return keys;
@@ -59,9 +59,7 @@ void ReadWriteSet::EnsureIdViews() const {
   c.read_ids.reserve(reads.size() + range_results);
   for (const auto& r : reads) c.read_ids.push_back(interner.Intern(r.key));
   for (const auto& rq : range_queries) {
-    for (const auto& r : rq.results) {
-      c.read_ids.push_back(interner.Intern(r.key));
-    }
+    for (const auto& r : rq.results) c.read_ids.push_back(r.id);
   }
   SortDedupIds(c.read_ids);
   c.write_ids.clear();
@@ -103,9 +101,14 @@ bool ReadWriteSet::HasReadOf(const std::string& key) const {
                   [&](const ReadItem& r) { return r.key == key; })) {
     return true;
   }
+  if (range_queries.empty()) return false;
+  // Range results name stored keys, which are all interned: a key the
+  // interner has never seen cannot be among them.
+  const KeyId id = GlobalKeyInterner().Lookup(key);
+  if (id == kInvalidKeyId) return false;
   for (const auto& rq : range_queries) {
     if (std::any_of(rq.results.begin(), rq.results.end(),
-                    [&](const ReadItem& r) { return r.key == key; })) {
+                    [&](const RangeResult& r) { return r.id == id; })) {
       return true;
     }
   }

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/interner.h"
@@ -39,13 +40,29 @@ struct WriteItem {
   }
 };
 
+/// One range-query result: the interned id of the key and the committed
+/// version observed. A result always names an existing key, so the
+/// version is never absent. Equal ids mean equal keys (the interner is
+/// process-wide), so comparing results compares (key, version) pairs.
+struct RangeResult {
+  KeyId id = kInvalidKeyId;
+  Version version;
+
+  /// The key string, resolved through the interner (stable for the
+  /// process lifetime).
+  std::string_view key() const { return GlobalKeyInterner().KeyForId(id); }
+
+  friend bool operator==(const RangeResult&, const RangeResult&) = default;
+};
+
 /// A range query executed during endorsement: the bounds plus the exact
-/// (key, version) results observed. Validation re-executes the range
-/// against commit-time state; any difference is a *phantom read conflict*.
+/// (key, version) results observed, in store key order. Validation
+/// re-executes the range against commit-time state; any difference is a
+/// *phantom read conflict*.
 struct RangeQueryInfo {
   std::string start_key;
   std::string end_key;  // empty = unbounded
-  std::vector<ReadItem> results;
+  std::vector<RangeResult> results;
 
   friend bool operator==(const RangeQueryInfo&, const RangeQueryInfo&) =
       default;

@@ -1,40 +1,49 @@
 #include "reorder/fabricsharp.h"
 
+#include <algorithm>
+#include <string_view>
+
+#include "common/interner.h"
 #include "reorder/conflict_graph.h"
 
 namespace blockoptr {
 
 bool FabricSharpReorderer::ReadsFreshAgainstShadow(
     const ReadWriteSet& rwset) const {
-  auto check = [&](const ReadItem& r) {
-    auto it = shadow_.find(r.key);
+  auto check = [&](std::string_view key,
+                   const std::optional<Version>& version) {
+    auto it = shadow_.find(key);
     if (it == shadow_.end()) return true;  // untouched by ordered blocks
     if (!it->second.has_value()) {
       // Key deleted by an ordered transaction; a read of "absent" is fine.
-      return !r.version.has_value();
+      return !version.has_value();
     }
-    return r.version.has_value() && *r.version == *it->second;
+    return version.has_value() && *version == *it->second;
   };
   for (const auto& r : rwset.reads) {
-    if (!check(r)) return false;
+    if (!check(r.key, r.version)) return false;
   }
+  const Interner& interner = GlobalKeyInterner();
   for (const auto& rq : rwset.range_queries) {
     for (const auto& r : rq.results) {
-      if (!check(r)) return false;
+      if (!check(r.key(), r.version)) return false;
     }
     // A write into the queried range by an ordered tx that the endorser
     // did not see is a phantom; detect inserts via shadow keys in range.
-    for (const auto& [key, ver] : shadow_) {
-      if (key >= rq.start_key && (rq.end_key.empty() || key < rq.end_key)) {
-        bool seen = false;
-        for (const auto& r : rq.results) {
-          if (r.key == key) {
-            seen = true;
-            break;
-          }
-        }
-        if (!seen && ver.has_value()) return false;  // phantom insert
-      }
+    if (!rq.end_key.empty() && rq.end_key <= rq.start_key) continue;
+    auto it = shadow_.lower_bound(rq.start_key);
+    auto end =
+        rq.end_key.empty() ? shadow_.end() : shadow_.lower_bound(rq.end_key);
+    for (; it != end; ++it) {
+      if (!it->second.has_value()) continue;  // deletes insert nothing
+      // Results name stored, hence interned, keys: a shadow key the
+      // interner has never seen cannot be among them.
+      const KeyId id = interner.Lookup(it->first);
+      const bool seen =
+          id != kInvalidKeyId &&
+          std::any_of(rq.results.begin(), rq.results.end(),
+                      [&](const RangeResult& r) { return r.id == id; });
+      if (!seen) return false;  // phantom insert
     }
   }
   return true;

@@ -2,6 +2,7 @@
 #define BLOCKOPTR_REORDER_FABRICSHARP_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -46,8 +47,9 @@ class FabricSharpReorderer : public BlockReorderer {
   bool ReadsFreshAgainstShadow(const ReadWriteSet& rwset) const;
 
   // key -> version it will hold once pending blocks commit; nullopt means
-  // the key will be deleted.
-  std::map<std::string, std::optional<Version>> shadow_;
+  // the key will be deleted. Transparent comparator: range results look
+  // keys up by string_view without building a temporary string.
+  std::map<std::string, std::optional<Version>, std::less<>> shadow_;
   uint64_t next_block_num_;
   uint64_t cross_block_aborts_ = 0;
   uint64_t intra_block_aborts_ = 0;

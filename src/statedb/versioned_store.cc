@@ -34,9 +34,9 @@ void VersionedStore::RebuildIndex() {
   index_.assign(index_.size(), nullptr);
   Interner& interner = GlobalKeyInterner();
   for (auto& [key, vv] : map_) {
-    KeyId id = interner.Intern(key);
-    EnsureIndexSlot(id);
-    index_[id] = &vv;
+    vv.id = interner.Intern(key);
+    EnsureIndexSlot(vv.id);
+    index_[vv.id] = &vv;
   }
 }
 
@@ -94,6 +94,7 @@ void VersionedStore::ApplyById(KeyId id, std::string_view key,
   auto mit = map_.try_emplace(std::string(key)).first;
   mit->second.value = std::string(value);
   mit->second.version = version;
+  mit->second.id = id;
   slot = &mit->second;
 }
 

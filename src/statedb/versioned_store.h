@@ -27,10 +27,13 @@ struct Version {
   std::string ToString() const;
 };
 
-/// A committed value together with its version.
+/// A committed value together with its version and its key's interned id
+/// (set by the store on insert, so a range scan can record results by id
+/// without touching the key string).
 struct VersionedValue {
   std::string value;
   Version version;
+  KeyId id = kInvalidKeyId;
 };
 
 /// The world-state database of a single peer: the latest committed value
@@ -100,17 +103,6 @@ class VersionedStore {
     for (; it != end; ++it) {
       if (!visit(std::string_view(it->first), it->second)) return;
     }
-  }
-
-  /// RangeVisit() narrowed to versions: `visit(key, version)`. The MVCC
-  /// phantom check only compares versions, so no value ever gets touched.
-  template <typename Visitor>
-  void RangeVersions(std::string_view start_key, std::string_view end_key,
-                     Visitor&& visit) const {
-    RangeVisit(start_key, end_key,
-               [&](std::string_view key, const VersionedValue& vv) {
-                 return visit(key, vv.version);
-               });
   }
 
   /// Writes or deletes a single key at `version` (used by block commit).

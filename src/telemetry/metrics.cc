@@ -28,6 +28,7 @@ void Histogram::Observe(double v) {
   // exactly on a bound belongs to that bound's (inclusive) bucket.
   if (i > 0 && v == bounds_[i - 1]) --i;
   ++counts_[i];
+  max_ = count_ == 0 ? v : std::max(max_, v);
   ++count_;
   sum_ += v;
 }

@@ -54,6 +54,8 @@ class Histogram {
   uint64_t count() const { return count_; }
   double sum() const { return sum_; }
   double Mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
+  /// The exact largest observation (not a bucket bound); 0 when empty.
+  double max() const { return max_; }
 
   /// Bucket-interpolated quantile estimate, `q` in [0, 1]: finds the
   /// bucket holding the q-th observation and interpolates linearly within
@@ -72,6 +74,7 @@ class Histogram {
   std::vector<uint64_t> counts_;
   uint64_t count_ = 0;
   double sum_ = 0;
+  double max_ = 0;
 };
 
 /// Named metric registry shared by all simulated components. Components

@@ -1,5 +1,6 @@
 #include "telemetry/telemetry.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace blockoptr {
@@ -38,17 +39,11 @@ std::vector<StageLatency> ComputeStageBreakdown(
     row.stage = CriticalStageName(i);
     row.count = h.count();
     row.mean_s = h.Mean();
-    row.p50_s = h.Quantile(0.5);
-    row.p95_s = h.Quantile(0.95);
-    // Bucket-resolution max: the upper bound of the highest occupied
-    // bucket (the last finite bound when the overflow bucket is occupied).
-    const auto& counts = h.bucket_counts();
-    for (size_t b = counts.size(); b > 0 && !h.bounds().empty(); --b) {
-      if (counts[b - 1] == 0) continue;
-      row.max_s = b - 1 < h.bounds().size() ? h.bounds()[b - 1]
-                                            : h.bounds().back();
-      break;
-    }
+    // Bucket interpolation can overshoot the largest observation; no
+    // quantile exceeds the exact max.
+    row.max_s = h.max();
+    row.p50_s = std::min(h.Quantile(0.5), row.max_s);
+    row.p95_s = std::min(h.Quantile(0.95), row.max_s);
     out.push_back(std::move(row));
   }
   return out;

@@ -111,8 +111,8 @@ std::string StageHistogramName(int stage);
 /// The run's per-stage latency breakdown: one row per critical-path stage
 /// whose `stage.<name>.seconds` histogram exists (the flight recorder
 /// observes every committed transaction's six spans into them), in
-/// pipeline order. p50/p95 come from Histogram::Quantile; max_s is the
-/// upper bound of the highest occupied bucket, a bucket-resolution value.
+/// pipeline order. max_s is the exact largest observation; p50/p95 come
+/// from Histogram::Quantile, capped at max_s.
 std::vector<StageLatency> ComputeStageBreakdown(
     const MetricsRegistry& metrics);
 

@@ -109,7 +109,7 @@ TEST(TxContextTest, RangeQueryRecordsBoundsAndResults) {
   EXPECT_EQ(rq.start_key, "cc~a");
   EXPECT_EQ(rq.end_key, "cc~c");
   ASSERT_EQ(rq.results.size(), 2u);
-  EXPECT_EQ(rq.results[1].key, "cc~b");
+  EXPECT_EQ(rq.results[1].key(), "cc~b");
 }
 
 TEST(TxContextTest, OpenEndedRangeStaysInNamespace) {
@@ -145,9 +145,11 @@ TEST(TxContextTest, RangeVisitorSeesExactlyTheRecordedResultsInOrder) {
     ASSERT_EQ(rq.results.size(), c.keys.size());
     for (size_t i = 0; i < seen.size(); ++i) {
       EXPECT_EQ(seen[i].first, c.keys[i]);
-      EXPECT_EQ("cc~" + seen[i].first, rq.results[i].key);
-      EXPECT_EQ(seen[i].second, store.Get(rq.results[i].key)->value);
-      EXPECT_EQ(rq.results[i].version, store.Get(rq.results[i].key)->version);
+      EXPECT_EQ("cc~" + seen[i].first, rq.results[i].key());
+      EXPECT_EQ(seen[i].second, store.Get(rq.results[i].key())->value);
+      EXPECT_EQ(rq.results[i].version,
+                store.Get(rq.results[i].key())->version);
+      EXPECT_EQ(rq.results[i].id, store.Get(rq.results[i].key())->id);
     }
   }
 }

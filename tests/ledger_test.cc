@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -14,6 +15,11 @@
 
 namespace blockoptr {
 namespace {
+
+// A range result for `key`, as endorsement records it.
+RangeResult RangeHit(std::string_view key, Version version) {
+  return RangeResult{GlobalKeyInterner().Intern(key), version};
+}
 
 ReadWriteSet MakeRwset(std::vector<std::string> reads,
                        std::vector<std::string> writes) {
@@ -39,8 +45,8 @@ TEST(RwsetTest, RangeResultsCountAsReads) {
   RangeQueryInfo rq;
   rq.start_key = "a";
   rq.end_key = "z";
-  rq.results.push_back(ReadItem{"k1", Version{1, 0}});
-  rq.results.push_back(ReadItem{"k2", Version{1, 1}});
+  rq.results.push_back(RangeHit("k1", Version{1, 0}));
+  rq.results.push_back(RangeHit("k2", Version{1, 1}));
   rw.range_queries.push_back(rq);
   EXPECT_EQ(rw.ReadKeys(), (std::vector<std::string>{"k1", "k2"}));
   EXPECT_TRUE(rw.HasReadOf("k1"));
@@ -212,7 +218,7 @@ TEST(RwsetIdViewTest, CacheInvalidatesOnAppend) {
   rw.reads.push_back(ReadItem{"idv~r2", Version{1, 0}});
   rw.writes.push_back(WriteItem{"idv~w2", "v", false});
   RangeQueryInfo rq;
-  rq.results.push_back(ReadItem{"idv~r3", Version{1, 1}});
+  rq.results.push_back(RangeHit("idv~r3", Version{1, 1}));
   rw.range_queries.push_back(rq);
   EXPECT_EQ(IdsToKeys(rw.ReadKeyIds()),
             (std::vector<std::string>{"idv~r1", "idv~r2", "idv~r3"}));
@@ -220,7 +226,8 @@ TEST(RwsetIdViewTest, CacheInvalidatesOnAppend) {
             (std::vector<std::string>{"idv~w1", "idv~w2"}));
   EXPECT_EQ(IdsToKeys(rw.AccessedKeyIds()), rw.AccessedKeys());
   // Appending a result to an *existing* range query must also invalidate.
-  rw.range_queries.back().results.push_back(ReadItem{"idv~r4", Version{1, 2}});
+  rw.range_queries.back().results.push_back(
+      RangeHit("idv~r4", Version{1, 2}));
   EXPECT_EQ(IdsToKeys(rw.ReadKeyIds()), rw.ReadKeys());
 }
 
@@ -264,7 +271,7 @@ TEST(RwsetIdViewProperty, ViewsMirrorStringViewsOnRandomSets) {
           RangeQueryInfo rq;
           const uint64_t results = rng.NextBelow(4);
           for (uint64_t r = 0; r < results; ++r) {
-            rq.results.push_back(ReadItem{random_key(), Version{1, 0}});
+            rq.results.push_back(RangeHit(random_key(), Version{1, 0}));
           }
           rw.range_queries.push_back(std::move(rq));
           break;
@@ -272,7 +279,7 @@ TEST(RwsetIdViewProperty, ViewsMirrorStringViewsOnRandomSets) {
         default:
           if (!rw.range_queries.empty()) {
             rw.range_queries.back().results.push_back(
-                ReadItem{random_key(), Version{1, 1}});
+                RangeHit(random_key(), Version{1, 1}));
           } else {
             rw.reads.push_back(ReadItem{random_key(), Version{1, 0}});
           }

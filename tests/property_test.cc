@@ -7,16 +7,19 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "blockopt/log/export.h"
 #include "blockopt/log/preprocess.h"
 #include "blockopt/metrics/metrics.h"
+#include "chaincode/tx_context.h"
 #include "common/csv.h"
 #include "common/json.h"
 #include "common/rng.h"
 #include "driver/experiment.h"
 #include "fabric/endorsement_policy.h"
+#include "fabric/validator.h"
 #include "reorder/conflict_graph.h"
 #include "sim/service_station.h"
 #include "sim/simulator.h"
@@ -388,6 +391,79 @@ TEST(PolicyProperty, MandatoryOrgsAppearInEveryMinimalSet) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Phantom validation: id-based range checks against a keyed reference
+// ---------------------------------------------------------------------------
+
+// Property: a range query recorded at endorsement is current exactly when
+// the store's Range() still lists the same (key, version) pairs as the
+// recorded results' key()s. Swept over seeds and random inserts, updates
+// and deletes in and out of the range, including deleting a key inside the
+// range and re-inserting it. Versions come from a pool of three, so
+// different keys often share a version: a check that compared versions
+// alone, without key identity, would disagree with the reference.
+TEST(PhantomProperty, RangeCheckAgreesWithKeyedReference) {
+  const uint64_t key_space = 16;
+  auto key = [](uint64_t k) { return "k" + std::to_string(10 + k); };
+  uint64_t phantoms = 0;
+  uint64_t current = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    auto version = [&rng] { return Version{rng.NextBelow(3), 0}; };
+    auto stored = [&](uint64_t k) { return "ph~" + key(k); };
+    VersionedStore store;
+    for (uint64_t k = 0; k < key_space; ++k) {
+      if (rng.NextBool(0.6)) store.Apply(stored(k), "v", false, version());
+    }
+    for (int round = 0; round < 40; ++round) {
+      const uint64_t lo = rng.NextBelow(key_space);
+      const uint64_t hi = lo + rng.NextBelow(key_space - lo + 1);
+      TxContext ctx(&store, "ph");
+      ctx.GetStateByRange(key(lo), hi == key_space ? "" : key(hi),
+                          [](std::string_view, std::string_view) {});
+      const ReadWriteSet rw = ctx.TakeRwset();
+      ASSERT_EQ(rw.range_queries.size(), 1u);
+      const RangeQueryInfo& rq = rw.range_queries[0];
+
+      const uint64_t ops = rng.NextBelow(4);
+      for (uint64_t op = 0; op < ops; ++op) {
+        const std::string k = stored(rng.NextBelow(key_space));
+        const Version v = version();
+        switch (rng.NextBelow(4)) {
+          case 0:  // insert or update
+            store.Apply(k, "w", false, v);
+            break;
+          case 1:  // delete
+            store.Apply(k, "", true, v);
+            break;
+          case 2:  // delete, then re-insert
+            store.Apply(k, "", true, v);
+            store.Apply(k, "r", false, version());
+            break;
+          default:  // delete, then insert another key at the same version
+            store.Apply(k, "", true, v);
+            store.Apply(stored(rng.NextBelow(key_space)), "m", false, v);
+            break;
+        }
+      }
+
+      const auto now = store.Range(rq.start_key, rq.end_key);
+      bool same = now.size() == rq.results.size();
+      for (size_t i = 0; same && i < now.size(); ++i) {
+        same = now[i].first == rq.results[i].key() &&
+               now[i].second.version == rq.results[i].version;
+      }
+      ASSERT_EQ(ReadsAreCurrent(rw, store), same)
+          << "seed " << seed << " round " << round << " range ["
+          << rq.start_key << ", " << rq.end_key << ")";
+      ++(same ? current : phantoms);
+    }
+  }
+  // The sweep must exercise both outcomes.
+  EXPECT_GT(phantoms, 100u);
+  EXPECT_GT(current, 100u);
 }
 
 // ---------------------------------------------------------------------------

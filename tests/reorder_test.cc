@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/interner.h"
 #include "fabric/validator.h"
 #include "reorder/conflict_graph.h"
 #include "reorder/fabricpp.h"
@@ -242,6 +243,34 @@ TEST(FabricSharpTest, PhantomInsertIntoRangeIsDetected) {
   std::vector<Transaction> batch2{range_tx};
   reorderer.ProcessBatch(batch2);
   EXPECT_TRUE(batch2[0].pre_aborted);
+}
+
+TEST(FabricSharpTest, RangeThatSawTheOrderedWriteSurvives) {
+  FabricSharpReorderer reorderer(1);
+  std::vector<Transaction> batch1;
+  batch1.push_back(Tx(1, Rw({}, {"fsr~key5", "fsr~zz"})));
+  reorderer.ProcessBatch(batch1);  // shadow: both keys at version {1, 0}
+
+  // The endorser already saw key5 at the shadow version, and zz lies
+  // outside the range: nothing in [key0, key9) is a phantom.
+  auto range_tx = [](Version seen) {
+    Transaction tx = Tx(2, {});
+    RangeQueryInfo rq;
+    rq.start_key = "fsr~key0";
+    rq.end_key = "fsr~key9";
+    rq.results.push_back(
+        RangeResult{GlobalKeyInterner().Intern("fsr~key5"), seen});
+    tx.rwset.range_queries.push_back(rq);
+    return tx;
+  };
+  std::vector<Transaction> batch2{range_tx(Version{1, 0})};
+  reorderer.ProcessBatch(batch2);
+  EXPECT_FALSE(batch2[0].pre_aborted);
+
+  // The same key seen at an older version is stale.
+  std::vector<Transaction> batch3{range_tx(Version{0, 3})};
+  reorderer.ProcessBatch(batch3);
+  EXPECT_TRUE(batch3[0].pre_aborted);
 }
 
 TEST(FabricSharpTest, DeletedKeyReadAsAbsentSurvives) {

@@ -142,10 +142,10 @@ TEST(VersionedStoreTest, RangeVisitMatchesRangeAndStopsEarly) {
     EXPECT_EQ(visited[i].second.version, materialized[i].second.version);
   }
   int count = 0;
-  store.RangeVersions("rv~k0", "",
-                      [&](std::string_view, const Version&) {
-                        return ++count < 3;  // stop after three entries
-                      });
+  store.RangeVisit("rv~k0", "",
+                   [&](std::string_view, const VersionedValue&) {
+                     return ++count < 3;  // stop after three entries
+                   });
   EXPECT_EQ(count, 3);
 }
 
@@ -221,16 +221,22 @@ TEST(VersionedStoreProperty, HashIndexAgreesWithOrderedMap) {
         ASSERT_NE(peeked, nullptr) << key;
         EXPECT_EQ(peeked->value, it->second.value) << key;
         EXPECT_EQ(peeked->version, it->second.version) << key;
+        EXPECT_EQ(peeked->id, GlobalKeyInterner().Lookup(key)) << key;
         ASSERT_TRUE(got.has_value()) << key;
         EXPECT_EQ(got->value, it->second.value) << key;
       }
     }
     auto range = store.Range("", "");
     ASSERT_EQ(range.size(), reference.size());
+    // A copy rebuilds its index; the entries keep their key ids.
+    const VersionedStore copy = store;
     size_t i = 0;
     for (const auto& [key, vv] : reference) {
       EXPECT_EQ(range[i].first, key);
       EXPECT_EQ(range[i].second.version, vv.version);
+      EXPECT_EQ(range[i].second.id, GlobalKeyInterner().Lookup(key)) << key;
+      ASSERT_NE(copy.Peek(key), nullptr) << key;
+      EXPECT_EQ(copy.Peek(key)->id, range[i].second.id) << key;
       ++i;
     }
   }

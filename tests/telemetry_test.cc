@@ -114,6 +114,17 @@ TEST(MetricsTest, QuantileInOverflowBucketClampsToLastBound) {
   EXPECT_LE(h.Quantile(0.25), 1.0);
 }
 
+TEST(MetricsTest, HistogramTracksExactMax) {
+  Histogram h({1.0, 2.0});
+  EXPECT_DOUBLE_EQ(h.max(), 0.0);
+  h.Observe(1.2);
+  EXPECT_DOUBLE_EQ(h.max(), 1.2);  // inside the (1, 2] bucket, not its bound
+  h.Observe(0.5);
+  EXPECT_DOUBLE_EQ(h.max(), 1.2);
+  h.Observe(100);  // overflow bucket: still exact
+  EXPECT_DOUBLE_EQ(h.max(), 100.0);
+}
+
 TEST(MetricsTest, GaugeSnapshotEmitsNullExtremesWhenNeverSet) {
   MetricsRegistry reg;
   reg.gauge("never.set");
@@ -175,12 +186,13 @@ TEST(StageBreakdownTest, GroupsByCategoryInPipelineOrder) {
   EXPECT_EQ(rows[1].stage, "commit");
   EXPECT_EQ(rows[0].count, 2u);
   EXPECT_DOUBLE_EQ(rows[0].mean_s, 0.002);
-  // max_s is the upper bound of the highest occupied bucket.
-  const Histogram& submit =
-      reg.histograms().at(StageHistogramName(critical_stage::kSubmit));
-  EXPECT_GE(rows[0].max_s, 0.003);
-  EXPECT_TRUE(std::find(submit.bounds().begin(), submit.bounds().end(),
-                        rows[0].max_s) != submit.bounds().end());
+  // max_s is the exact largest observation, not a bucket bound, and the
+  // bucket-interpolated quantiles never exceed it.
+  EXPECT_DOUBLE_EQ(rows[0].max_s, 0.003);
+  EXPECT_DOUBLE_EQ(rows[1].max_s, 2.0);
+  EXPECT_LE(rows[0].p50_s, rows[0].p95_s);
+  EXPECT_LE(rows[0].p95_s, rows[0].max_s);
+  EXPECT_LE(rows[1].p95_s, rows[1].max_s);
 
   std::string table = FormatStageBreakdownTable(rows);
   EXPECT_NE(table.find("stage"), std::string::npos);

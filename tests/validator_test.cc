@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <string_view>
+
+#include "common/interner.h"
 #include "fabric/validator.h"
 
 namespace blockoptr {
 namespace {
+
+// A range result for `key`, as endorsement records it.
+RangeResult RangeHit(std::string_view key, Version version) {
+  return RangeResult{GlobalKeyInterner().Intern(key), version};
+}
 
 EndorsementPolicy TwoOfTwo() {
   return EndorsementPolicy::Preset(3, 2);  // Majority(Org1,Org2)
@@ -120,7 +128,7 @@ TEST(ValidatorTest, PhantomDetectedWhenRangeResultChanges) {
   RangeQueryInfo rq;
   rq.start_key = "a";
   rq.end_key = "z";
-  rq.results.push_back(ReadItem{"a", Version{1, 0}});  // endorser saw only a
+  rq.results.push_back(RangeHit("a", Version{1, 0}));  // endorser saw only a
   tx.rwset.range_queries.push_back(rq);
   Block block;
   block.transactions.push_back(tx);
@@ -136,7 +144,7 @@ TEST(ValidatorTest, PhantomDetectedWhenRangeVersionChanges) {
   RangeQueryInfo rq;
   rq.start_key = "a";
   rq.end_key = "z";
-  rq.results.push_back(ReadItem{"a", Version{1, 0}});
+  rq.results.push_back(RangeHit("a", Version{1, 0}));
   tx.rwset.range_queries.push_back(rq);
   Block block;
   block.transactions.push_back(tx);
@@ -151,7 +159,7 @@ TEST(ValidatorTest, StableRangePasses) {
   RangeQueryInfo rq;
   rq.start_key = "a";
   rq.end_key = "z";
-  rq.results.push_back(ReadItem{"a", Version{1, 0}});
+  rq.results.push_back(RangeHit("a", Version{1, 0}));
   tx.rwset.range_queries.push_back(rq);
   Block block;
   block.transactions.push_back(tx);
