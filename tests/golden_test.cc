@@ -27,11 +27,13 @@
 #include "blockopt/recommend/recommender.h"
 #include "blockopt/recommend/report.h"
 #include "driver/experiment.h"
+#include "driver/faults.h"
 #include "driver/presets.h"
 #include "driver/robustness.h"
 #include "driver/sweep.h"
 #include "telemetry/bottleneck.h"
 #include "telemetry/export.h"
+#include "workload/usecase.h"
 
 namespace blockoptr {
 namespace {
@@ -298,16 +300,21 @@ std::string HashLine(const char* name, const std::string& bytes) {
   return buf;
 }
 
-TEST(GoldenTest, SeededRunExportHashesMatchGoldenFile) {
-  // A seeded 2k-tx Table 2 run, hashed instead of stored: its log
-  // exports and its metrics JSON (--metrics-out) are too large to keep.
+/// A seeded 2k-tx Table 2 run with default telemetry.
+ExperimentConfig SeededRunConfig() {
   SyntheticConfig workload;
   workload.num_txs = 2000;
   workload.seed = 7;
   ExperimentConfig cfg =
       MakeSyntheticExperiment(workload, NetworkConfig::Defaults());
   cfg.enable_telemetry = true;
-  auto out = RunExperiment(cfg);
+  return cfg;
+}
+
+TEST(GoldenTest, SeededRunExportHashesMatchGoldenFile) {
+  // The seeded run, hashed instead of stored: its log exports and its
+  // metrics JSON (--metrics-out) are too large to keep.
+  auto out = RunExperiment(SeededRunConfig());
   ASSERT_TRUE(out.ok()) << out.status();
   ASSERT_NE(out->telemetry, nullptr);
   const BlockchainLog log = ExtractBlockchainLog(out->ledger);
@@ -324,6 +331,86 @@ TEST(GoldenTest, SeededRunExportHashesMatchGoldenFile) {
       "metrics.json",
       TelemetrySnapshotJson(*out->telemetry, &bottleneck).DumpPretty());
   CompareAgainstGolden(actual, GoldenPath("log_export_hashes.txt"));
+}
+
+// ---------------------------------------------------------------------------
+// Registry pins: every counter, gauge and histogram a telemetry run
+// publishes, byte for byte, so a change in how components count cannot
+// change what the registry reports.
+// ---------------------------------------------------------------------------
+
+std::string RegistrySnapshot(const ExperimentOutput& out) {
+  return out.telemetry->metrics().SnapshotJson().DumpPretty();
+}
+
+TEST(GoldenTest, SeededRunRegistryMatchesGoldenFile) {
+  auto out = RunExperiment(SeededRunConfig());
+  ASSERT_TRUE(out.ok()) << out.status();
+  ASSERT_NE(out->telemetry, nullptr);
+  CompareAgainstGolden(RegistrySnapshot(*out),
+                       GoldenPath("registry_seeded.json"));
+}
+
+/// A run that fires every component event: SCM on the pruned contract
+/// (illogical paths are rejected at endorsement and early-abort), a Raft
+/// leader crash and an endorser outage, client-manager reordering under a
+/// rate cap, and a streaming block-size adaptation applied in-band as a
+/// config transaction.
+ExperimentConfig EveryEventRunConfig() {
+  UseCaseConfig uc;
+  uc.num_txs = 1500;
+  uc.send_rate = 300;
+  uc.seed = 3;
+  ExperimentConfig cfg;
+  cfg.network = NetworkConfig::Defaults();
+  cfg.network.block_cutting.max_tx_count = 50;
+  cfg.chaincodes = {"scm_pruned"};
+  cfg.schedule = GenerateScmWorkload(uc);
+  for (auto& req : cfg.schedule) req.chaincode = "scm_pruned";
+  cfg.client_manager.activities_last = {"QueryProducts"};
+  cfg.client_manager.rate_cap_tps = 250;
+  auto plan = ParseFaultPlan(
+      "leader-crash@t=1,dur=1;endorser-outage@t=2,dur=1,org=2");
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  if (plan.ok()) cfg.faults = *plan;
+  cfg.stream.enabled = true;
+  cfg.stream.window_s = 1;
+  cfg.stream.apply = true;
+  cfg.enable_telemetry = true;
+  return cfg;
+}
+
+TEST(GoldenTest, EveryEventRunRegistryMatchesGoldenFile) {
+  auto out = RunExperiment(EveryEventRunConfig());
+  ASSERT_TRUE(out.ok()) << out.status();
+  ASSERT_NE(out->telemetry, nullptr);
+  const MetricsRegistry& m = out->telemetry->metrics();
+  for (const char* name :
+       {"client.requests_total", "client.early_aborts_total",
+        "endorser.proposals_total", "endorser.rejections_total",
+        "endorser.outage_drops_total", "orderer.txs_submitted_total",
+        "orderer.config_txs_total", "orderer.blocks_cut_total",
+        "raft.proposals_total", "raft.messages_total", "raft.commits_total",
+        "raft.elections_total", "validator.valid_total",
+        "validator.mvcc_conflicts", "validator.phantom_conflicts",
+        "validator.endorsement_failures", "validator.blocks_validated_total",
+        "ledger.blocks_total", "ledger.txs_committed_total",
+        "peer.Org1.blocks_applied_total", "peer.Org1.txs_applied_total",
+        "client_manager.scheduled_total",
+        "client_manager.reordered_runs_total",
+        "client_manager.rate_capped_runs_total"}) {
+    auto it = m.counters().find(name);
+    ASSERT_NE(it, m.counters().end()) << name;
+    EXPECT_GT(it->second.value(), 0u) << name;
+  }
+  for (const char* name :
+       {"client.queue_depth", "endorser.queue_depth", "orderer.queue_depth",
+        "peer.Org1.validator_backlog_s", "client_manager.rate_cap_tps"}) {
+    EXPECT_EQ(m.gauges().count(name), 1u) << name;
+  }
+  EXPECT_EQ(m.histograms().count("orderer.block_fill_ratio"), 1u);
+  CompareAgainstGolden(RegistrySnapshot(*out),
+                       GoldenPath("registry_every_event.json"));
 }
 
 }  // namespace

@@ -293,25 +293,47 @@ TEST(TracedExperimentTest, StageBreakdownAttachedToReport) {
             std::string::npos);
 }
 
+/// A counter's published value; 0 when the registry does not list it.
+uint64_t PublishedCount(const MetricsRegistry& m, const std::string& name) {
+  auto it = m.counters().find(name);
+  return it == m.counters().end() ? 0 : it->second.value();
+}
+
 TEST(TracedExperimentTest, ComponentMetricsArePopulated) {
   ExperimentConfig cfg = SmallExperiment();
   cfg.enable_telemetry = true;
   auto out = RunExperiment(cfg);
   ASSERT_TRUE(out.ok()) << out.status();
 
-  MetricsRegistry& m = out->telemetry->metrics();
-  EXPECT_EQ(m.counter("ledger.txs_committed_total").value(),
-            out->report.total_committed());
-  EXPECT_GT(m.counter("client.requests_total").value(), 0u);
-  EXPECT_GT(m.counter("endorser.proposals_total").value(), 0u);
-  EXPECT_GT(m.counter("orderer.blocks_cut_total").value(), 0u);
-  EXPECT_GT(m.counter("raft.proposals_total").value(), 0u);
-  EXPECT_GT(m.counter("raft.commits_total").value(), 0u);
-  EXPECT_GT(m.counter("validator.blocks_validated_total").value(), 0u);
-  EXPECT_GT(m.histogram("orderer.block_fill_ratio").count(), 0u);
-  EXPECT_EQ(m.counter("validator.valid_total").value() > 0 ||
-                m.counter("validator.mvcc_conflicts").value() > 0,
-            true);
+  // Every counter equals a count kept independently of the registry.
+  const MetricsRegistry& m = out->telemetry->metrics();
+  const PerformanceReport& r = out->report;
+  EXPECT_EQ(PublishedCount(m, "ledger.txs_committed_total"),
+            r.total_committed());
+  EXPECT_EQ(PublishedCount(m, "validator.valid_total"), r.successful());
+  EXPECT_EQ(PublishedCount(m, "validator.mvcc_conflicts"), r.mvcc_failures());
+  EXPECT_EQ(PublishedCount(m, "validator.phantom_conflicts"),
+            r.phantom_failures());
+  EXPECT_EQ(PublishedCount(m, "validator.endorsement_failures"),
+            r.endorsement_failures());
+  EXPECT_EQ(PublishedCount(m, "client.early_aborts_total"), r.early_aborts());
+  EXPECT_EQ(PublishedCount(m, "client.requests_total"), cfg.schedule.size());
+
+  // The genesis block is the ledger's, not the commit path's.
+  const uint64_t blocks = out->ledger.blocks().size() - 1;
+  ASSERT_GT(blocks, 0u);
+  EXPECT_EQ(PublishedCount(m, "ledger.blocks_total"), blocks);
+  EXPECT_EQ(PublishedCount(m, "validator.blocks_validated_total"), blocks);
+
+  uint64_t endorsements = 0;
+  for (const auto& [org, n] : out->endorsement_counts) endorsements += n;
+  EXPECT_EQ(PublishedCount(m, "endorser.proposals_total"), endorsements);
+
+  const uint64_t cut = PublishedCount(m, "orderer.blocks_cut_total");
+  EXPECT_EQ(cut, blocks);
+  EXPECT_EQ(cut, PublishedCount(m, "raft.commits_total"));
+  EXPECT_EQ(cut, PublishedCount(m, "raft.proposals_total"));
+  EXPECT_EQ(m.histograms().at("orderer.block_fill_ratio").count(), cut);
 
   auto parsed = JsonValue::Parse(m.SnapshotJson().Dump());
   ASSERT_TRUE(parsed.ok());
