@@ -6,9 +6,10 @@
 //   BM_E2E_TelemetryOff   — the shipping fast path (no Telemetry at all)
 //   BM_E2E_SamplerOnly    — continuous sampler only (the always-on
 //                           monitoring profile: time series + bottleneck
-//                           inputs, no flight recorder, no event metrics)
-//   BM_E2E_FullTelemetry  — flight recorder + event metrics + sampler (the
-//                           default profile, behind every export flag)
+//                           inputs, no flight recorder)
+//   BM_E2E_FullTelemetry  — flight recorder + sampler (the default
+//                           profile, behind every export flag)
+// The component counters are kept in every profile and published once.
 //
 // The acceptance budget is SamplerOnly within 5% of TelemetryOff
 // throughput; CI gates FullTelemetry/TelemetryOff as a ratio within one

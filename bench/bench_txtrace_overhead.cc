@@ -37,10 +37,10 @@ ExperimentConfig MakeConfig(int num_txs, bool telemetry, bool txtrace) {
   ExperimentConfig cfg =
       MakeSyntheticExperiment(wl, NetworkConfig::Defaults());
   cfg.enable_telemetry = telemetry;
-  // Off = the causal-tracing profile with the recorder switched back off:
-  // event metrics and the sampler stay disabled either way, so On - Off
-  // isolates the recorder and Off - Baseline isolates the disabled hook
-  // checks.
+  // Off = the causal-tracing profile with the recorder switched back off
+  // (the sampler is off either way): On - Off isolates the recorder, and
+  // Off - Baseline the disabled hook checks plus the one-off counter
+  // publication at Finish.
   cfg.telemetry_options = TelemetryOptions::TxTraceOnly();
   cfg.telemetry_options.txtrace.enabled = txtrace;
   return cfg;

@@ -26,6 +26,82 @@ Result<std::unique_ptr<BlockReorderer>> MakeScheduler(
   return Status::InvalidArgument("unknown orderer scheduler '" + name + "'");
 }
 
+/// Writes the counts the components kept during the run into `m`, under
+/// the metric names the exports carry. A name enters the registry only
+/// once its event fired: zero counts and never-set gauges stay out.
+void PublishEventCounts(FabricNetwork& net, const ClientManagerSettings& cm,
+                        uint64_t scheduled, MetricsRegistry& m) {
+  auto count = [&m](const std::string& name, uint64_t n) {
+    if (n > 0) m.counter(name).Increment(n);
+  };
+  auto gauge = [&m](const std::string& name, const Gauge& g) {
+    if (g.seen()) m.gauge(name) = g;
+  };
+  const FabricNetwork::EventCounts& events = net.event_counts();
+  count("client.requests_total", events.requests);
+  count("client.early_aborts_total", net.early_aborts());
+  gauge("client.queue_depth", events.client_queue_depth);
+  uint64_t proposals = 0;
+  for (const auto& [org, n] : net.endorsement_counts()) proposals += n;
+  count("endorser.proposals_total", proposals);
+  count("endorser.rejections_total", events.rejections);
+  count("endorser.outage_drops_total", events.outage_drops);
+  gauge("endorser.queue_depth", events.endorser_queue_depth);
+
+  const OrderingService& orderer = net.orderer();
+  count("orderer.txs_submitted_total", orderer.txs_submitted());
+  count("orderer.config_txs_total", orderer.config_txs());
+  count("orderer.blocks_cut_total", orderer.blocks_cut());
+  gauge("orderer.queue_depth", orderer.queue_depth());
+  if (orderer.block_fill().count() > 0) {
+    m.histogram("orderer.block_fill_ratio") = orderer.block_fill();
+  }
+  const RaftCluster& raft = orderer.raft();
+  count("raft.proposals_total", raft.proposals());
+  count("raft.messages_total", raft.messages_sent());
+  count("raft.commits_total", raft.commits());
+  count("raft.elections_total", raft.elections());
+
+  // Each validated block reports all five outcomes, zeros included.
+  const FabricNetwork::PipelineTotals& totals = net.totals();
+  if (totals.blocks_committed > 0) {
+    m.counter("validator.valid_total").Increment(totals.valid_txs);
+    m.counter("validator.mvcc_conflicts").Increment(totals.mvcc_conflicts);
+    m.counter("validator.phantom_conflicts")
+        .Increment(totals.phantom_conflicts);
+    m.counter("validator.endorsement_failures")
+        .Increment(totals.endorsement_failures);
+    m.counter("validator.blocks_validated_total")
+        .Increment(totals.blocks_committed);
+  }
+
+  // The genesis block (and its config transaction) is not a commit.
+  const std::vector<Block>& blocks = net.ledger().blocks();
+  uint64_t txs_committed = 0;
+  for (const Block& block : blocks) {
+    for (const Transaction& tx : block.transactions) {
+      if (!tx.is_config) ++txs_committed;
+    }
+  }
+  count("ledger.blocks_total", blocks.size() - 1);
+  count("ledger.txs_committed_total", txs_committed);
+
+  for (int org = 1; org <= net.config().num_orgs; ++org) {
+    const OrgPeer& peer = net.peer(org);
+    const std::string prefix = "peer." + peer.org() + ".";
+    count(prefix + "blocks_applied_total", peer.blocks_applied());
+    count(prefix + "txs_applied_total", peer.txs_applied());
+    gauge(prefix + "validator_backlog_s", peer.validator_backlog());
+  }
+
+  m.counter("client_manager.scheduled_total").Increment(scheduled);
+  count("client_manager.reordered_runs_total", cm.HasReordering() ? 1 : 0);
+  if (cm.rate_cap_tps > 0) {
+    m.counter("client_manager.rate_capped_runs_total").Increment();
+    m.gauge("client_manager.rate_cap_tps").Set(cm.rate_cap_tps);
+  }
+}
+
 }  // namespace
 
 Result<std::unique_ptr<ChannelRun>> ChannelRun::Create(
@@ -97,9 +173,8 @@ Status ChannelRun::Setup(const ExperimentConfig& config) {
   }
 
   // Client manager: apply reordering / rate control to the workload.
-  schedule_ = ClientManager::Prepare(
-      config.schedule, config.client_manager,
-      output_.telemetry ? &output_.telemetry->metrics() : nullptr);
+  client_manager_ = config.client_manager;
+  schedule_ = ClientManager::Prepare(config.schedule, client_manager_);
 
   // Fault injection: arrival faults reshape the prepared schedule;
   // runtime faults (crashes, endorser degradation) become simulator
@@ -211,12 +286,14 @@ ExperimentOutput ChannelRun::Finish() {
     output_.telemetry->txtrace()->Finalize(sim_.Now());
   }
   if (output_.telemetry) {
+    MetricsRegistry& metrics = output_.telemetry->metrics();
+    PublishEventCounts(*network_, client_manager_, total_, metrics);
     // Engine-level gauges: how many events the run cost and how deep the
     // queue got. Both are deterministic per config, so they are safe to
     // snapshot (the sweep determinism harness compares full snapshots).
-    output_.telemetry->metrics().gauge("sim.events_processed")
+    metrics.gauge("sim.events_processed")
         .Set(static_cast<double>(sim_.num_processed()));
-    output_.telemetry->metrics().gauge("sim.queue_peak")
+    metrics.gauge("sim.queue_peak")
         .Set(static_cast<double>(sim_.queue_peak()));
   }
   faults_->FinalizeWindows(sim_.Now());

@@ -64,6 +64,7 @@ class ChannelRun : public Shard {
   std::unique_ptr<FabricNetwork> network_;
   std::unique_ptr<FaultInjector> faults_;
   Schedule schedule_;  // arrival events reference entries in place
+  ClientManagerSettings client_manager_;  // published at Finish
   ExperimentOutput output_;
   size_t completed_ = 0;
   size_t total_ = 0;

@@ -5,31 +5,18 @@
 namespace blockoptr {
 
 Schedule ClientManager::Prepare(Schedule schedule,
-                                const ClientManagerSettings& settings,
-                                MetricsRegistry* metrics) {
-  if (metrics) {
-    metrics->counter("client_manager.scheduled_total")
-        .Increment(schedule.size());
-  }
+                                const ClientManagerSettings& settings) {
   if (settings.HasReordering()) {
     double rate = ScheduleRate(schedule);
     if (rate <= 0) rate = 1;
     ReorderActivities(schedule, settings.activities_first,
                       settings.activities_last, rate);
-    if (metrics) {
-      metrics->counter("client_manager.reordered_runs_total").Increment();
-    }
   }
   if (settings.rate_cap_tps > 0) {
     if (settings.windowed_rate_control) {
       RateController::CapRateWindowed(schedule, settings.rate_cap_tps);
     } else {
       RateController::CapRate(schedule, settings.rate_cap_tps);
-    }
-    if (metrics) {
-      metrics->counter("client_manager.rate_capped_runs_total").Increment();
-      metrics->gauge("client_manager.rate_cap_tps")
-          .Set(settings.rate_cap_tps);
     }
   }
   return schedule;

@@ -93,16 +93,6 @@ void FabricNetwork::SetEndorserOutage(int org, bool down) {
   endorser_down_[static_cast<size_t>(org - 1)] = down ? 1 : 0;
 }
 
-double FabricNetwork::endorser_slowdown(int org) const {
-  if (org < 1 || org > config_.num_orgs) return 1.0;
-  return endorser_slowdown_[static_cast<size_t>(org - 1)];
-}
-
-bool FabricNetwork::endorser_down(int org) const {
-  if (org < 1 || org > config_.num_orgs) return false;
-  return endorser_down_[static_cast<size_t>(org - 1)] != 0;
-}
-
 void FabricNetwork::SetClientLoadScale(double scale) {
   if (scale <= 0) return;
   client_load_scale_ = scale;
@@ -119,11 +109,8 @@ void FabricNetwork::SetReorderer(std::unique_ptr<BlockReorderer> reorderer) {
 }
 
 void FabricNetwork::set_telemetry(Telemetry* telemetry) {
-  telemetry_ = telemetry;
-  event_metrics_ = telemetry ? telemetry->event_metrics() : nullptr;
   txtrace_ = telemetry ? telemetry->txtrace() : nullptr;
   orderer_->set_telemetry(telemetry);
-  for (auto& peer : peers_) peer->set_metrics(event_metrics_);
 
   Sampler* sampler = telemetry ? telemetry->sampler() : nullptr;
   if (sampler == nullptr) return;
@@ -304,11 +291,8 @@ Status FabricNetwork::Submit(const ClientRequest& request) {
 
   // Proposal creation occupies the client process.
   ClientProcess& cp = *clients_[static_cast<size_t>(entry.client_index)];
-  if (event_metrics_) {
-    event_metrics_->counter("client.requests_total").Increment();
-    event_metrics_->gauge("client.queue_depth")
-        .Set(cp.station().CurrentDelay());
-  }
+  ++event_counts_.requests;
+  event_counts_.client_queue_depth.Set(cp.station().CurrentDelay());
   if (txtrace_) {
     txtrace_->TxEvent(id, TxStage::kSubmit,
                       static_cast<uint16_t>(entry.client_index));
@@ -343,9 +327,7 @@ void FabricNetwork::StartEndorsement(uint64_t pending_id) {
         // executed; the client gives up after the RPC timeout and records
         // the refusal, so the outage surfaces as an endorsement failure
         // (or an early abort when no endorser answered) — never a hang.
-        if (event_metrics_) {
-          event_metrics_->counter("endorser.outage_drops_total").Increment();
-        }
+        ++event_counts_.outage_drops;
         std::string down_org = peer.org();
         sim_->ScheduleAfter(
             config_.latency.endorse_timeout_s,
@@ -371,11 +353,8 @@ void FabricNetwork::StartEndorsement(uint64_t pending_id) {
       }
       Chaincode* cc = FindChaincode(pit->second.request.chaincode);
       assert(cc != nullptr);
-      if (event_metrics_) {
-        event_metrics_->counter("endorser.proposals_total").Increment();
-        event_metrics_->gauge("endorser.queue_depth")
-            .Set(peer.endorser_station().CurrentDelay());
-      }
+      event_counts_.endorser_queue_depth.Set(
+          peer.endorser_station().CurrentDelay());
       if (txtrace_) {
         txtrace_->TxEvent(pending_id, TxStage::kEndorseStart,
                           static_cast<uint16_t>(org));
@@ -405,10 +384,7 @@ void FabricNetwork::StartEndorsement(uint64_t pending_id) {
                                 static_cast<uint16_t>(org),
                                 static_cast<float>(cost));
             }
-            if (event_metrics_ && !result.status.ok()) {
-              event_metrics_->counter("endorser.rejections_total")
-                  .Increment();
-            }
+            if (!result.status.ok()) ++event_counts_.rejections;
             sim_->ScheduleAfter(
                 NetworkDelay(),
                 [this, pending_id, org_name = std::move(org_name),
@@ -446,9 +422,6 @@ void FabricNetwork::OnEndorsementsComplete(uint64_t pending_id) {
   if (ok_indices.empty()) {
     // Unanimous chaincode rejection: early abort, never ordered.
     ++early_aborts_;
-    if (event_metrics_) {
-      event_metrics_->counter("client.early_aborts_total").Increment();
-    }
     if (txtrace_) txtrace_->AbortTx(pending_id);
     if (on_early_abort_) {
       on_early_abort_(pending.request,
@@ -538,7 +511,6 @@ void FabricNetwork::DeliverBlock(Block block) {
   // identical on every peer (Fabric's deterministic validation).
   BlockValidationStats vstats =
       ValidateAndApplyBlock(block, committed_state_, policy_);
-  if (event_metrics_) RecordValidationStats(vstats, *event_metrics_);
   // Always-on totals (a handful of integer adds per *block*): these feed
   // the sampler's throughput / conflict-rate / fill series.
   totals_.valid_txs += vstats.valid;
@@ -607,21 +579,12 @@ void FabricNetwork::DeliverBlock(Block block) {
           }
           uint64_t num = ledger_.Append(std::move(shared->block));
           const Block& appended = ledger_.GetBlock(num);
-          if (event_metrics_) {
-            event_metrics_->counter("ledger.blocks_total").Increment();
-          }
-          if (event_metrics_ || txtrace_) {
+          if (txtrace_) {
             for (const auto& tx : appended.transactions) {
               if (tx.is_config) continue;
-              if (event_metrics_) {
-                event_metrics_->counter("ledger.txs_committed_total")
-                    .Increment();
-              }
-              if (txtrace_) {
-                txtrace_->CommitTx(tx.tx_id, tx.client_timestamp,
-                                   static_cast<uint32_t>(appended.block_num),
-                                   tx.status != TxStatus::kValid);
-              }
+              txtrace_->CommitTx(tx.tx_id, tx.client_timestamp,
+                                 static_cast<uint32_t>(appended.block_num),
+                                 tx.status != TxStatus::kValid);
             }
           }
           if (on_block_commit_) on_block_commit_(appended);

@@ -65,19 +65,16 @@ class FabricNetwork {
   /// the ordering service.
   void SetReorderer(std::unique_ptr<BlockReorderer> reorderer);
 
-  /// Attaches transaction-lifecycle tracing, metrics, and the continuous
-  /// sampler (registering pipeline series + every ServiceStation as
-  /// sampler sources). `telemetry` must outlive the network; pass nullptr
-  /// (the default state) to disable — the off path does no recording work
-  /// at all. Individual aspects follow `telemetry->options()`: the
-  /// network caches per-aspect pointers, so a disabled aspect costs one
-  /// null check per site. Call before Start().
+  /// Attaches the flight recorder and the continuous sampler (registering
+  /// pipeline series + every ServiceStation as sampler sources).
+  /// `telemetry` must outlive the network; pass nullptr (the default
+  /// state) to disable. The network caches per-aspect pointers, so a
+  /// disabled aspect costs one null check per site. Call before Start().
   void set_telemetry(Telemetry* telemetry);
-  Telemetry* telemetry() { return telemetry_; }
 
   /// Always-on cumulative pipeline outcome counts (cheap integer adds per
-  /// block): the sampler's throughput / conflict-rate sources read these,
-  /// and they are maintained even with telemetry off.
+  /// block): the sampler's throughput / conflict-rate sources and the
+  /// `validator.*` counters read these, even with telemetry off.
   struct PipelineTotals {
     uint64_t valid_txs = 0;
     uint64_t mvcc_conflicts = 0;
@@ -87,6 +84,17 @@ class FabricNetwork {
     double block_fill_sum = 0;  // sum of per-block fill ratios
   };
   const PipelineTotals& totals() const { return totals_; }
+
+  /// Always-on client and endorser event counts and queue gauges, the
+  /// `client.*` and `endorser.*` metrics of a telemetry run.
+  struct EventCounts {
+    uint64_t requests = 0;      // client requests submitted
+    uint64_t rejections = 0;    // proposals an endorser's chaincode refused
+    uint64_t outage_drops = 0;  // proposals sent to a down endorser
+    Gauge client_queue_depth;   // client station delay at each submit
+    Gauge endorser_queue_depth;  // endorser station delay per proposal
+  };
+  const EventCounts& event_counts() const { return event_counts_; }
 
   /// Live endorsement-policy change, applied immediately (used at setup;
   /// for an in-band change use SubmitPolicyUpdate).
@@ -151,8 +159,6 @@ class FabricNetwork {
   /// dropped. Out-of-range orgs are ignored.
   void SetEndorserSlowdown(int org, double factor);
   void SetEndorserOutage(int org, bool down);
-  double endorser_slowdown(int org) const;
-  bool endorser_down(int org) const;
 
   /// Cross-channel load coupling (driver/sharded.h): in a multi-channel
   /// experiment the channels share one client population, so client-side
@@ -210,12 +216,10 @@ class FabricNetwork {
   Rng rng_;
   double peer_scale_ = 1.0;  // cluster resource contention (see config.h)
   double client_load_scale_ = 1.0;  // cross-channel coupling (see above)
-  Telemetry* telemetry_ = nullptr;  // optional, not owned
-  // Cached per-aspect handles (null when the aspect is disabled), so
-  // recording sites pay one pointer check and sampler-only runs skip the
-  // per-transaction recorder/metric work entirely.
-  MetricsRegistry* event_metrics_ = nullptr;  // not owned
-  TxTraceRecorder* txtrace_ = nullptr;        // not owned
+  // Cached flight-recorder handle (null when disabled), so recording
+  // sites pay one pointer check and sampler-only runs skip the
+  // per-transaction recorder work entirely.
+  TxTraceRecorder* txtrace_ = nullptr;  // not owned
 
   std::vector<std::unique_ptr<ClientProcess>> clients_;
   std::vector<std::vector<int>> org_client_indices_;  // per org (0-based)
@@ -243,6 +247,7 @@ class FabricNetwork {
   std::map<std::string, uint64_t> endorsement_counts_;
   uint64_t early_aborts_ = 0;
   PipelineTotals totals_;
+  EventCounts event_counts_;
 
   // Per-org endorser fault state (1.0 / false when healthy).
   std::vector<double> endorser_slowdown_;

@@ -38,19 +38,15 @@ OrderingService::OrderingService(Simulator* sim, const NetworkConfig& config,
 }
 
 void OrderingService::set_telemetry(Telemetry* telemetry) {
-  metrics_ = telemetry ? telemetry->event_metrics() : nullptr;
   txtrace_ = telemetry ? telemetry->txtrace() : nullptr;
-  raft_.set_metrics(metrics_);
   raft_.set_txtrace(txtrace_);
 }
 
 void OrderingService::Start() { raft_.Start(); }
 
 void OrderingService::Submit(Transaction tx, uint64_t tx_bytes) {
-  if (metrics_) {
-    metrics_->counter("orderer.txs_submitted_total").Increment();
-    metrics_->gauge("orderer.queue_depth").Set(station_.CurrentDelay());
-  }
+  ++txs_submitted_;
+  queue_depth_.Set(station_.CurrentDelay());
   // Per-transaction ordering work occupies the orderer CPU; batching
   // happens when that work completes.
   station_.Submit(latency_.order_per_tx_s,
@@ -67,9 +63,7 @@ void OrderingService::Submit(Transaction tx, uint64_t tx_bytes) {
 void OrderingService::SubmitConfig(Transaction tx) {
   tx.is_config = true;
   tx.status = TxStatus::kConfig;
-  if (metrics_) {
-    metrics_->counter("orderer.config_txs_total").Increment();
-  }
+  ++config_txs_;
   station_.Submit(latency_.order_per_tx_s,
                   [this, tx = std::move(tx)]() mutable {
                     // A config transaction terminates the current batch and
@@ -116,14 +110,8 @@ void OrderingService::CutBlock() {
   block.cut_timestamp = sim_->Now();
   block.transactions = std::move(txs);
   ++blocks_cut_;
-
-  if (metrics_) {
-    metrics_->counter("orderer.blocks_cut_total").Increment();
-    metrics_
-        ->histogram("orderer.block_fill_ratio", MetricsRegistry::RatioBounds())
-        .Observe(static_cast<double>(block.transactions.size()) /
-                 static_cast<double>(std::max(1u, cutting_.max_tx_count)));
-  }
+  block_fill_.Observe(static_cast<double>(block.transactions.size()) /
+                      static_cast<double>(std::max(1u, cutting_.max_tx_count)));
 
   uint64_t payload = next_payload_id_++;
   inflight_.emplace(payload, std::move(block));

@@ -58,8 +58,8 @@ class OrderingService {
   }
   const BlockReorderer* reorderer() const { return reorderer_.get(); }
 
-  /// Attaches tracing + metrics (also wires the Raft cluster's metrics);
-  /// nullptr disables. `telemetry` must outlive the service.
+  /// Attaches the flight recorder (also to the Raft cluster); nullptr
+  /// disables. `telemetry` must outlive the service.
   void set_telemetry(Telemetry* telemetry);
 
   /// Starts the Raft cluster (elects the first leader).
@@ -76,7 +76,13 @@ class OrderingService {
   /// Cuts any partially filled batch immediately (end-of-run drain).
   void Flush();
 
+  // Always-on event counts: the `orderer.*` metrics of a telemetry run.
   uint64_t blocks_cut() const { return blocks_cut_; }
+  uint64_t txs_submitted() const { return txs_submitted_; }
+  uint64_t config_txs() const { return config_txs_; }
+  /// Station delay per submitted tx; block size over the limit per cut.
+  const Gauge& queue_depth() const { return queue_depth_; }
+  const Histogram& block_fill() const { return block_fill_; }
   const RaftCluster& raft() const { return raft_; }
   /// Mutable access for failure injection (crash/restart orderer nodes).
   RaftCluster& mutable_raft() { return raft_; }
@@ -105,14 +111,17 @@ class OrderingService {
   uint64_t batch_bytes_ = 0;
   uint64_t timeout_gen_ = 0;
 
-  // Per-aspect telemetry handles, cached from Telemetry::options() (null
-  // when disabled — see FabricNetwork's pointer-guard discipline).
-  MetricsRegistry* metrics_ = nullptr;  // optional, not owned
+  // Cached flight-recorder handle (null when disabled — see
+  // FabricNetwork's pointer-guard discipline).
   TxTraceRecorder* txtrace_ = nullptr;  // optional, not owned
 
   std::map<uint64_t, Block> inflight_;
   uint64_t next_payload_id_ = 1;
   uint64_t blocks_cut_ = 0;
+  uint64_t txs_submitted_ = 0;
+  uint64_t config_txs_ = 0;
+  Gauge queue_depth_;
+  Histogram block_fill_{MetricsRegistry::RatioBounds()};
 };
 
 }  // namespace blockoptr

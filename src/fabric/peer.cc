@@ -10,14 +10,9 @@ OrgPeer::OrgPeer(Simulator* sim, std::string org_name)
           std::make_unique<ServiceStation>(sim, org_ + "-validator")) {}
 
 void OrgPeer::OnBlockApplied(size_t num_txs) {
-  if (metrics_ == nullptr) return;
-  metrics_->counter("peer." + org_ + ".blocks_applied_total").Increment();
-  metrics_->counter("peer." + org_ + ".txs_applied_total")
-      .Increment(num_txs);
-  // How far behind this peer's validator is running — the commit lag that
-  // makes endorsement happen against stale state.
-  metrics_->gauge("peer." + org_ + ".validator_backlog_s")
-      .Set(validator_station_->CurrentDelay());
+  ++blocks_applied_;
+  txs_applied_ += num_txs;
+  validator_backlog_.Set(validator_station_->CurrentDelay());
 }
 
 }  // namespace blockoptr

@@ -29,19 +29,23 @@ class OrgPeer {
   ServiceStation& endorser_station() { return *endorser_station_; }
   ServiceStation& validator_station() { return *validator_station_; }
 
-  /// Attaches per-peer metrics (`peer.<org>.*`); nullptr disables.
-  void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
-
-  /// Records commit-side metrics after this peer applied a block. No-op
-  /// without a registry.
+  /// Counts a block this peer applied and samples its validator backlog.
   void OnBlockApplied(size_t num_txs);
+
+  // Always-on counts: the `peer.<org>.*` metrics of a telemetry run.
+  uint64_t blocks_applied() const { return blocks_applied_; }
+  uint64_t txs_applied() const { return txs_applied_; }
+  /// Validator lag per applied block: why endorsers read stale state.
+  const Gauge& validator_backlog() const { return validator_backlog_; }
 
  private:
   std::string org_;
   VersionedStore store_;
   std::unique_ptr<ServiceStation> endorser_station_;
   std::unique_ptr<ServiceStation> validator_station_;
-  MetricsRegistry* metrics_ = nullptr;  // optional, not owned
+  uint64_t blocks_applied_ = 0;
+  uint64_t txs_applied_ = 0;
+  Gauge validator_backlog_;
 };
 
 }  // namespace blockoptr

@@ -19,7 +19,7 @@ void RaftCluster::Start() {
 }
 
 void RaftCluster::Propose(uint64_t payload) {
-  if (metrics_) metrics_->counter("raft.proposals_total").Increment();
+  ++proposals_;
   if (txtrace_) {
     txtrace_->BlockEvent(static_cast<uint32_t>(payload),
                          TxStage::kRaftPropose);
@@ -61,7 +61,6 @@ void RaftCluster::Send(int from, int to, RaftMessage msg) {
   (void)from;
   if (nodes_[static_cast<size_t>(to)]->stopped()) return;
   ++messages_sent_;
-  if (metrics_) metrics_->counter("raft.messages_total").Increment();
   double delay =
       options_.network_delay + rng_.NextDouble() * options_.network_jitter;
   sim_->ScheduleAfter(delay, [this, to, msg = std::move(msg)]() {
@@ -82,7 +81,7 @@ void RaftCluster::OnNodeCommit(const RaftNode& node) {
     // the first delivers.
     if (payload == kRaftNoOpPayload) continue;
     if (outstanding_.erase(payload) == 0) continue;
-    if (metrics_) metrics_->counter("raft.commits_total").Increment();
+    ++commits_;
     // Before on_commit_: block delivery runs synchronously inside the
     // commit callback and reads the recorder's last-committed payload.
     if (txtrace_) {
@@ -95,7 +94,7 @@ void RaftCluster::OnNodeCommit(const RaftNode& node) {
 }
 
 void RaftCluster::OnLeaderElected(int leader_id) {
-  if (metrics_) metrics_->counter("raft.elections_total").Increment();
+  ++elections_;
   // A crashed leader can take appended-but-unreplicated entries down with
   // it. Re-propose every outstanding payload missing from the new
   // leader's log, ahead of newer buffered proposals so delivery order

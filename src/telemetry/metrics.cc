@@ -28,6 +28,7 @@ void Histogram::Observe(double v) {
   // exactly on a bound belongs to that bound's (inclusive) bucket.
   if (i > 0 && v == bounds_[i - 1]) --i;
   ++counts_[i];
+  min_ = count_ == 0 ? v : std::min(min_, v);
   max_ = count_ == 0 ? v : std::max(max_, v);
   ++count_;
   sum_ += v;
@@ -49,18 +50,17 @@ double Histogram::Quantile(double q) const {
       cumulative += in_bucket;
       continue;
     }
-    if (i >= bounds_.size()) {
-      // Overflow bucket: unbounded above, clamp to the last finite bound
-      // (or the mean for a degenerate bounds-free histogram).
-      return bounds_.empty() ? Mean() : bounds_.back();
-    }
-    double lower = i == 0 ? 0.0 : bounds_[i - 1];
-    double upper = bounds_[i];
+    // Overflow bucket: unbounded above, so the exact max is the estimate.
+    if (i >= bounds_.size()) return max_;
+    // Observations lie in [min, max], so the bucket's share of that range
+    // is all interpolation may span.
+    double lower = std::max(i == 0 ? 0.0 : bounds_[i - 1], min_);
+    double upper = std::min(bounds_[i], max_);
     double frac = (target - static_cast<double>(cumulative)) /
                   static_cast<double>(in_bucket);
     return lower + (upper - lower) * frac;
   }
-  return bounds_.empty() ? Mean() : bounds_.back();
+  return max_;
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {

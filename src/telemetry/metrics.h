@@ -54,16 +54,18 @@ class Histogram {
   uint64_t count() const { return count_; }
   double sum() const { return sum_; }
   double Mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
-  /// The exact largest observation (not a bucket bound); 0 when empty.
+  /// The exact smallest and largest observations (not bucket bounds); 0
+  /// when empty.
+  double min() const { return min_; }
   double max() const { return max_; }
 
   /// Bucket-interpolated quantile estimate, `q` in [0, 1]: finds the
   /// bucket holding the q-th observation and interpolates linearly within
-  /// its [lower, upper] bound range (Prometheus `histogram_quantile`
-  /// semantics; the first bucket's lower bound is 0 for these
-  /// non-negative latency/ratio histograms). Quantiles that land in the
-  /// unbounded overflow bucket clamp to the last finite bound. Returns 0
-  /// for an empty histogram.
+  /// its [lower, upper] bound range cut to the observed [min, max] (the
+  /// first bucket's lower bound is 0 for these non-negative latency/ratio
+  /// histograms), so a constant histogram reports its value. Quantiles in
+  /// the unbounded overflow bucket are the exact max. Returns 0 for an
+  /// empty histogram.
   double Quantile(double q) const;
   const std::vector<double>& bounds() const { return bounds_; }
   /// bounds().size() + 1 entries; the last is the overflow bucket.
@@ -74,6 +76,7 @@ class Histogram {
   std::vector<uint64_t> counts_;
   uint64_t count_ = 0;
   double sum_ = 0;
+  double min_ = 0;
   double max_ = 0;
 };
 

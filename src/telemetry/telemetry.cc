@@ -1,19 +1,16 @@
 #include "telemetry/telemetry.h"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace blockoptr {
 
-Telemetry::Telemetry(Simulator* sim, TelemetryOptions options)
-    : options_(options) {
-  if (options_.sample_period_s > 0) {
+Telemetry::Telemetry(Simulator* sim, TelemetryOptions options) {
+  if (options.sample_period_s > 0) {
     sampler_ = std::make_unique<Sampler>(
-        sim, SamplerConfig{options_.sample_period_s,
-                           options_.series_capacity});
+        sim, SamplerConfig{options.sample_period_s, options.series_capacity});
   }
-  if (options_.txtrace.enabled) {
-    txtrace_ = std::make_unique<TxTraceRecorder>(sim, options_.txtrace);
+  if (options.txtrace.enabled) {
+    txtrace_ = std::make_unique<TxTraceRecorder>(sim, options.txtrace);
     // Registry references are stable (node-based maps), so the recorder
     // keeps these for the whole run.
     Histogram* stages[kNumCriticalStages];
@@ -39,11 +36,9 @@ std::vector<StageLatency> ComputeStageBreakdown(
     row.stage = CriticalStageName(i);
     row.count = h.count();
     row.mean_s = h.Mean();
-    // Bucket interpolation can overshoot the largest observation; no
-    // quantile exceeds the exact max.
+    row.p50_s = h.Quantile(0.5);
+    row.p95_s = h.Quantile(0.95);
     row.max_s = h.max();
-    row.p50_s = std::min(h.Quantile(0.5), row.max_s);
-    row.p95_s = std::min(h.Quantile(0.95), row.max_s);
     out.push_back(std::move(row));
   }
   return out;

@@ -12,21 +12,19 @@
 
 namespace blockoptr {
 
-/// Which aspects of a telemetry-enabled run are recorded. The aspects are
-/// independent so high-frequency runs can keep the cheap continuous
+/// Which aspects of a telemetry-enabled run are recorded. The two aspects
+/// are independent so high-frequency runs can keep the cheap continuous
 /// sampler while shedding the per-transaction costs:
-///   - event_metrics: per-event counter/gauge updates at every pipeline
-///                    touch point (map lookups by dotted name).
-///   - sampling:      the continuous Sampler — one tick per period
-///                    regardless of load, so its cost is O(sim-time), not
-///                    O(transactions).
-///   - txtrace:       the per-transaction flight recorder, the one
-///                    per-transaction hook: packed lifecycle events in a
-///                    fixed ring, the critical-path stage breakdown (the
-///                    `stage.<name>.seconds` histograms) and tail-latency
-///                    exemplars.
+///   - sampling: the continuous Sampler — one tick per period regardless
+///               of load, so its cost is O(sim-time), not O(transactions).
+///   - txtrace:  the per-transaction flight recorder, the one
+///               per-transaction hook: packed lifecycle events in a fixed
+///               ring, the critical-path stage breakdown (the
+///               `stage.<name>.seconds` histograms) and tail-latency
+///               exemplars.
+/// Component event counters are not an aspect: components always keep
+/// them and a finished run publishes them, whatever the options.
 struct TelemetryOptions {
-  bool event_metrics = true;
   /// Sampler period in virtual seconds; <= 0 disables the sampler.
   double sample_period_s = 0.5;
   /// Point capacity of each sampled TimeSeries.
@@ -35,11 +33,10 @@ struct TelemetryOptions {
   /// path is one null check per hook and allocates nothing).
   TxTraceOptions txtrace;
 
-  /// Continuous monitoring only: flight recorder and per-event metrics
-  /// off, sampler on. The always-on low-overhead profile.
+  /// Continuous monitoring only: flight recorder off, sampler on. The
+  /// always-on low-overhead profile.
   static TelemetryOptions SamplerOnly() {
     TelemetryOptions opts;
-    opts.event_metrics = false;
     opts.txtrace.enabled = false;
     return opts;
   }
@@ -47,7 +44,6 @@ struct TelemetryOptions {
   /// Flight recorder only: the causal-tracing profile.
   static TelemetryOptions TxTraceOnly() {
     TelemetryOptions opts;
-    opts.event_metrics = false;
     opts.sample_period_s = 0;
     opts.txtrace.enabled = true;
     return opts;
@@ -58,11 +54,11 @@ struct TelemetryOptions {
 /// continuous sampler and one flight recorder, shared by every simulated
 /// component of a network.
 ///
-/// Components hold a nullable `Telemetry*` and cache per-aspect pointers
-/// (`MetricsRegistry*` / `TxTraceRecorder*`, null when that aspect is
-/// disabled), guarding every recording site with a null check — the
-/// disabled path does no work and allocates nothing, so telemetry-off runs
-/// behave exactly like the uninstrumented simulator.
+/// Components hold a nullable `Telemetry*` and cache the recorder pointer
+/// (`TxTraceRecorder*`, null when disabled), guarding every recording site
+/// with a null check — the disabled path does no work and allocates
+/// nothing. During a run only the recorder writes the registry (its
+/// `stage.*` histograms); ChannelRun::Finish adds the components' counts.
 class Telemetry {
  public:
   /// `sim` must outlive all recording calls (exports may happen later).
@@ -71,16 +67,11 @@ class Telemetry {
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  const TelemetryOptions& options() const { return options_; }
-
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
-  /// The per-aspect accessors components cache: null when disabled.
-  MetricsRegistry* event_metrics() {
-    return options_.event_metrics ? &metrics_ : nullptr;
-  }
-  /// Null when `sample_period_s <= 0`.
+  /// The per-aspect accessors components cache. Null when
+  /// `sample_period_s <= 0`.
   Sampler* sampler() { return sampler_.get(); }
   const Sampler* sampler() const { return sampler_.get(); }
   /// Null unless `txtrace.enabled`.
@@ -88,7 +79,6 @@ class Telemetry {
   const TxTraceRecorder* txtrace() const { return txtrace_.get(); }
 
  private:
-  TelemetryOptions options_;
   MetricsRegistry metrics_;
   std::unique_ptr<Sampler> sampler_;
   std::unique_ptr<TxTraceRecorder> txtrace_;
@@ -112,7 +102,7 @@ std::string StageHistogramName(int stage);
 /// whose `stage.<name>.seconds` histogram exists (the flight recorder
 /// observes every committed transaction's six spans into them), in
 /// pipeline order. max_s is the exact largest observation; p50/p95 come
-/// from Histogram::Quantile, capped at max_s.
+/// from Histogram::Quantile, which never exceeds it.
 std::vector<StageLatency> ComputeStageBreakdown(
     const MetricsRegistry& metrics);
 

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -285,11 +286,12 @@ TEST(DriverAllocTest, FinishHandsTheLedgerOverInsteadOfCopyingIt) {
 }
 
 /// Event-loop allocations (RunToCompletion) per committed transaction of
-/// a 2,000-tx telemetry run with `options`.
-double LoopAllocationsPerCommittedTx(const TelemetryOptions& options) {
+/// a 2,000-tx run; telemetry is off unless `options` is given.
+double LoopAllocationsPerCommittedTx(
+    std::optional<TelemetryOptions> options = std::nullopt) {
   ExperimentConfig cfg = SyntheticRun(2000);
-  cfg.enable_telemetry = true;
-  cfg.telemetry_options = options;
+  cfg.enable_telemetry = options.has_value();
+  if (options) cfg.telemetry_options = *options;
   auto run = ChannelRun::Create(cfg);
   EXPECT_TRUE(run.ok()) << run.status();
   const std::uint64_t before = AllocationCount();
@@ -302,13 +304,19 @@ double LoopAllocationsPerCommittedTx(const TelemetryOptions& options) {
 }
 
 TEST(TelemetryAllocTest, DefaultTelemetryLoopStaysUnderTheAllocationBound) {
-  // Default options: event metrics, sampler and flight recorder. The
-  // recorder appends into a preallocated ring, so its per-transaction
-  // hooks add no heap traffic. Measured 35.7 per committed transaction;
-  // the string-span recorder this replaced cost 45.8 (heap-built names
-  // and components, about six spans per transaction).
-  const double per_tx = LoopAllocationsPerCommittedTx(TelemetryOptions{});
-  EXPECT_LE(per_tx, 40.0) << per_tx << " allocations per committed tx";
+  // Default options: sampler and flight recorder. The recorder appends
+  // into a preallocated ring and the components count events in plain
+  // members that reach the registry once, at Finish, so full telemetry
+  // adds next to no heap traffic to the event loop. Measured 21.4 against
+  // 21.4 with telemetry off; per-event registry lookups by dotted name
+  // cost 30.8.
+  // The first run of the process also fills the process-wide interners;
+  // a warm-up run keeps that out of both measurements.
+  (void)LoopAllocationsPerCommittedTx();
+  const double off = LoopAllocationsPerCommittedTx();
+  const double on = LoopAllocationsPerCommittedTx(TelemetryOptions{});
+  EXPECT_LE(on, off + 0.5) << on << " allocations per committed tx with "
+                           << "telemetry, " << off << " without";
 }
 
 /// A log shaped like a synthetic genChain run: two endorsers, reads,

@@ -310,14 +310,23 @@ TEST(SimulatorTest, StationCallbacksAreMovedNotCopied) {
 }
 
 // Move-only callables must schedule and fire (they could not even be
-// stored in the old std::function-based event).
+// stored in the old std::function-based event), and the engine destroys
+// the capture once the callback has run.
 TEST(SimulatorTest, MoveOnlyCallbacksAreSupported) {
   Simulator sim;
-  auto flag = std::make_unique<bool>(false);
-  bool* raw = flag.get();
-  sim.ScheduleAt(1.0, [flag = std::move(flag)]() { *flag = true; });
+  int seen = 0;
+  bool destroyed = false;
+  auto deleter = [&destroyed](int* p) {
+    destroyed = true;
+    delete p;
+  };
+  std::unique_ptr<int, decltype(deleter)> token(new int(42), deleter);
+  sim.ScheduleAt(1.0,
+                 [token = std::move(token), &seen]() { seen = *token; });
+  EXPECT_FALSE(destroyed);
   sim.Run();
-  EXPECT_TRUE(*raw);
+  EXPECT_EQ(seen, 42);
+  EXPECT_TRUE(destroyed);
 }
 
 TEST(SimulatorTest, QueuePeakTracksHighWaterMark) {

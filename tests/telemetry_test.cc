@@ -86,12 +86,15 @@ TEST(MetricsTest, EmptyHistogramQuantileIsZero) {
 
 TEST(MetricsTest, QuantileInterpolatesWithinABucket) {
   Histogram h({1.0, 2.0, 5.0});
-  // 10 observations, all in the (1, 2] bucket.
+  // One observation below, ten inside and one above the (1, 2] bucket.
+  h.Observe(0.5);
   for (int i = 0; i < 10; ++i) h.Observe(1.5);
+  h.Observe(3.0);
   // The q-th observation interpolates across the bucket's [1, 2] range.
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 1.5);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 2.0);
-  EXPECT_NEAR(h.Quantile(0.1), 1.1, 1e-9);
+  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 1.5);  // 1 + (6 - 1) / 10
+  EXPECT_NEAR(h.Quantile(0.25), 1.2, 1e-9);  // 1 + (3 - 1) / 10
+  // The top bucket (2, 5] ends at the exact max.
+  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 3.0);
   // Out-of-range q clamps.
   EXPECT_DOUBLE_EQ(h.Quantile(-1), h.Quantile(0));
   EXPECT_DOUBLE_EQ(h.Quantile(2), h.Quantile(1));
@@ -99,17 +102,28 @@ TEST(MetricsTest, QuantileInterpolatesWithinABucket) {
 
 TEST(MetricsTest, QuantileFirstBucketInterpolatesFromZero) {
   Histogram h({4.0, 8.0});
-  h.Observe(1);
-  h.Observe(2);  // both land in the first bucket: [0, 4]
+  h.Observe(0);
+  h.Observe(4);  // both land in the first bucket: [0, 4]
   EXPECT_DOUBLE_EQ(h.Quantile(0.5), 2.0);  // 0 + 4 * (1/2)
   EXPECT_DOUBLE_EQ(h.Quantile(1.0), 4.0);
 }
 
-TEST(MetricsTest, QuantileInOverflowBucketClampsToLastBound) {
+TEST(MetricsTest, QuantileStaysWithinTheObservedRange) {
+  // Both observations sit inside the first bucket [0, 4]: interpolation
+  // spans only [min, max] = [1, 2] of it.
+  Histogram h({4.0, 8.0});
+  h.Observe(1);
+  h.Observe(2);
+  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 1.5);
+  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 2.0);
+  EXPECT_DOUBLE_EQ(h.Quantile(0.0), 1.5);  // rank clamps to the first
+}
+
+TEST(MetricsTest, QuantileInOverflowBucketIsTheExactMax) {
   Histogram h({1.0, 2.0});
   h.Observe(0.5);
   h.Observe(100);  // overflow bucket, unbounded above
-  EXPECT_DOUBLE_EQ(h.Quantile(0.99), 2.0);
+  EXPECT_DOUBLE_EQ(h.Quantile(0.99), 100.0);
   // A quantile resolved below the overflow bucket still interpolates.
   EXPECT_LE(h.Quantile(0.25), 1.0);
 }
@@ -123,6 +137,16 @@ TEST(MetricsTest, HistogramTracksExactMax) {
   EXPECT_DOUBLE_EQ(h.max(), 1.2);
   h.Observe(100);  // overflow bucket: still exact
   EXPECT_DOUBLE_EQ(h.max(), 100.0);
+  EXPECT_DOUBLE_EQ(h.min(), 0.5);
+
+  // A constant histogram reports its value at every quantile, not the
+  // bounds of the bucket holding it.
+  Histogram constant(MetricsRegistry::DefaultLatencyBounds());
+  for (int i = 0; i < 7; ++i) constant.Observe(0.012);
+  EXPECT_DOUBLE_EQ(constant.min(), 0.012);
+  EXPECT_DOUBLE_EQ(constant.max(), 0.012);
+  EXPECT_DOUBLE_EQ(constant.Quantile(0.5), 0.012);
+  EXPECT_DOUBLE_EQ(constant.Quantile(0.95), 0.012);
 }
 
 TEST(MetricsTest, GaugeSnapshotEmitsNullExtremesWhenNeverSet) {
