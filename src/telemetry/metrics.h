@@ -80,10 +80,9 @@ class Histogram {
   double max_ = 0;
 };
 
-/// Named metric registry shared by all simulated components. Components
-/// register/look up metrics by dotted name (`orderer.block_fill_ratio`);
-/// repeated lookups return the same instance, so hot paths can cache the
-/// reference.
+/// Named metric registry of one run, keyed by dotted name
+/// (`orderer.block_fill_ratio`). Repeated lookups return the same
+/// instance, so a hot path resolves a reference once and keeps it.
 ///
 /// Thread-safety contract: a registry is *single-threaded by design* — it
 /// holds no locks and no static mutable state. The parallel experiment
