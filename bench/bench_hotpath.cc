@@ -14,6 +14,7 @@
 #include "bench_util.h"
 #include "blockopt/log/blockchain_log.h"
 #include "blockopt/metrics/metrics.h"
+#include "common/interner.h"
 #include "common/rng.h"
 #include "fabric/endorsement_policy.h"
 #include "fabric/validator.h"
@@ -33,6 +34,9 @@ std::string Key(uint64_t i) {
                 static_cast<unsigned long long>(i));
   return buf;
 }
+
+// Key(i) as endorsement records it in an RW-set item.
+KeyId KeyIdOf(uint64_t i) { return GlobalKeyInterner().Intern(Key(i)); }
 
 // ---------------------------------------------------------------------------
 // Point reads (the MVCC inner loop's single dominant operation)
@@ -89,12 +93,12 @@ struct ValidateFixture {
       tx.endorsers = {"Org1", "Org2", "Org3"};
       for (int r = 0; r < 3; ++r) {
         uint64_t k = rng.NextBelow(n / 2);
-        tx.rwset.reads.push_back(
-            ReadItem{Key(k), Version{1, static_cast<uint32_t>(k % 1000)}});
+        tx.rwset.reads.push_back(ReadItem{
+            KeyIdOf(k), Version{1, static_cast<uint32_t>(k % 1000)}});
       }
       for (int w = 0; w < 2; ++w) {
         uint64_t k = n / 2 + rng.NextBelow(n / 2);
-        tx.rwset.writes.push_back(WriteItem{Key(k), "newvalue", false});
+        tx.rwset.writes.push_back(WriteItem{KeyIdOf(k), "newvalue", false});
       }
       if (t % 16 == 0) {
         uint64_t start = rng.NextBelow(n / 2 - kRangeSpan);
@@ -162,11 +166,11 @@ void BM_ConflictGraph(benchmark::State& state) {
   for (uint64_t t = 0; t < n; ++t) {
     for (int r = 0; r < 3; ++r) {
       rwsets[t].reads.push_back(
-          ReadItem{Key(rng.NextBelow(n / 4 + 1)), Version{1, 0}});
+          ReadItem{KeyIdOf(rng.NextBelow(n / 4 + 1)), Version{1, 0}});
     }
     for (int w = 0; w < 2; ++w) {
       rwsets[t].writes.push_back(
-          WriteItem{Key(rng.NextBelow(n / 4 + 1)), "v", false});
+          WriteItem{KeyIdOf(rng.NextBelow(n / 4 + 1)), "v", false});
     }
   }
   std::vector<const ReadWriteSet*> ptrs;

@@ -4,6 +4,7 @@
 // costs behind the figure benches.
 #include <benchmark/benchmark.h>
 
+#include "common/interner.h"
 #include "common/rng.h"
 #include "fabric/endorsement_policy.h"
 #include "fabric/validator.h"
@@ -117,7 +118,8 @@ void BM_ValidateBlock(benchmark::State& state) {
     for (int i = 0; i < txs; ++i) {
       Transaction tx;
       tx.endorsers = {"Org1", "Org2"};
-      std::string key = "key" + std::to_string(rng.NextBelow(500));
+      const KeyId key = GlobalKeyInterner().Intern(
+          "key" + std::to_string(rng.NextBelow(500)));
       tx.rwset.reads.push_back(ReadItem{key, Version{0, 0}});
       tx.rwset.writes.push_back(WriteItem{key, "new", false});
       block.transactions.push_back(std::move(tx));

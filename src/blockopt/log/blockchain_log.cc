@@ -38,7 +38,7 @@ void BlockchainLog::EntryFromTransaction(const Block& block, uint32_t tx_pos,
   for (const auto& rq : tx.rwset.range_queries) num_reads += rq.results.size();
   e.read_keys.reserve(num_reads);
   e.range_bounds.reserve(tx.rwset.range_queries.size());
-  for (const auto& r : tx.rwset.reads) e.read_keys.push_back(r.key);
+  for (const auto& r : tx.rwset.reads) e.read_keys.emplace_back(r.key());
   for (const auto& rq : tx.rwset.range_queries) {
     e.range_bounds.emplace_back(rq.start_key, rq.end_key);
     for (const auto& r : rq.results) e.read_keys.emplace_back(r.key());
@@ -53,9 +53,9 @@ void BlockchainLog::EntryFromTransaction(const Block& block, uint32_t tx_pos,
   e.writes.reserve(tx.rwset.writes.size() - num_deletes);
   for (const auto& w : tx.rwset.writes) {
     if (w.is_delete) {
-      e.delete_keys.push_back(w.key);
+      e.delete_keys.emplace_back(w.key());
     } else {
-      e.writes.emplace_back(w.key, w.value);
+      e.writes.emplace_back(w.key(), w.value);
     }
   }
   e.status = tx.status;

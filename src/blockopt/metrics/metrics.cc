@@ -70,7 +70,6 @@ MetricsRow RowFromTransaction(const Block& block, const Transaction& tx) {
 
 void RowFromTransactionInto(const Block& block, const Transaction& tx,
                             MetricsRow& r) {
-  Interner& keys = GlobalKeyInterner();
   Interner& names = GlobalNameInterner();
   r.endorsers.clear();
   r.value_write_ids.clear();
@@ -96,12 +95,11 @@ void RowFromTransactionInto(const Block& block, const Transaction& tx,
   r.write_ids = tx.rwset.WriteKeyIds();
   r.accessed_ids = tx.rwset.AccessedKeyIds();
   for (const auto& w : tx.rwset.writes) {
-    if (w.cached_id == kInvalidKeyId) w.cached_id = keys.Intern(w.key);
     if (w.is_delete) {
-      r.delete_ids.push_back(w.cached_id);
+      r.delete_ids.push_back(w.id);
       r.has_deletes = true;
     } else {
-      r.value_write_ids.push_back(w.cached_id);
+      r.value_write_ids.push_back(w.id);
       ++r.num_value_writes;
     }
   }

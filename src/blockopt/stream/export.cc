@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "common/interner.h"
 #include "telemetry/export.h"
 
 namespace blockoptr {
@@ -115,11 +114,10 @@ JsonValue StreamStateJson(const StreamEngine& engine) {
   root["events"] = std::move(events);
   root["events_dropped"] = engine.recommender().events_dropped();
 
-  const Interner& interner = GlobalKeyInterner();
   JsonValue::Array hot;
   for (const SpaceSavingTopK::Counter& c : engine.hot_keys().Entries()) {
     JsonValue::Object h;
-    h["key"] = std::string(interner.KeyForId(c.id));
+    h["key"] = std::string(c.key);
     h["count"] = c.count;
     h["error"] = c.error;
     hot.emplace_back(std::move(h));
@@ -201,10 +199,8 @@ void AppendStreamPrometheus(const StreamEngine& engine, std::ostream& out) {
     const std::string name = "stream.hot_key_failures";
     const std::string p = PrometheusMetricName(name);
     out << "# HELP " << p << ' ' << name << "\n# TYPE " << p << " gauge\n";
-    const Interner& interner = GlobalKeyInterner();
     for (const SpaceSavingTopK::Counter& c : engine.hot_keys().Entries()) {
-      out << p << "{key=\""
-          << PrometheusEscapeLabel(std::string(interner.KeyForId(c.id)))
+      out << p << "{key=\"" << PrometheusEscapeLabel(std::string(c.key))
           << "\"} " << c.count << '\n';
     }
   }

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "common/interner.h"
@@ -11,22 +12,28 @@ namespace blockoptr {
 
 /// Space-saving heavy-hitter sketch (Metwally et al.) over interned key
 /// ids: at most `capacity` counters, deterministic eviction (smallest
-/// count, then smallest id — no hashing order leaks into results, so the
-/// sweep-determinism contract holds). Each counter carries the classic
+/// count, then smallest key string). Ties never fall back to id order:
+/// ids are assigned in first-intern order, which varies with thread
+/// interleaving under a parallel sweep, so the sweep-determinism contract
+/// needs the key itself. Each counter carries the classic
 /// overestimation bound `error`: the true frequency of `id` lies in
 /// [count - error, count].
 ///
-/// Counters live in parallel flat arrays (ids / counts / errors) scanned
-/// linearly — a sketch is small by design (default capacity 32), and the
-/// hot-path id scan then touches two cache lines instead of a dozen
-/// interleaved structs, which matters because the always-on failure path
-/// re-warms the sketch from cache on every offer.
+/// Counters live in parallel flat arrays (ids / counts / errors / keys)
+/// scanned linearly — a sketch is small by design (default capacity 32),
+/// and the hot-path id scan then touches two cache lines instead of a
+/// dozen interleaved structs, which matters because the always-on failure
+/// path re-warms the sketch from cache on every offer. Each slot keeps
+/// the interner's view of its key, resolved once when the slot is
+/// (re)assigned, so tie-breaks compare strings without taking the
+/// interner's lock. Ids must name interned keys.
 class SpaceSavingTopK {
  public:
   struct Counter {
     KeyId id = kInvalidKeyId;
     uint64_t count = 0;
     uint64_t error = 0;  // overestimation bound inherited on eviction
+    std::string_view key;  // the interned key of `id`
   };
 
   explicit SpaceSavingTopK(size_t capacity)
@@ -34,6 +41,7 @@ class SpaceSavingTopK {
     ids_.reserve(capacity_);
     counts_.reserve(capacity_);
     errors_.reserve(capacity_);
+    keys_.reserve(capacity_);
   }
 
   /// Observes one occurrence of `id` (weight defaults to 1). One fused
@@ -54,26 +62,30 @@ class SpaceSavingTopK {
           std::swap(ids_[i - 1], ids_[i]);
           std::swap(counts_[i - 1], counts_[i]);
           std::swap(errors_[i - 1], errors_[i]);
+          std::swap(keys_[i - 1], keys_[i]);
         }
         return;
       }
       if (counts_[i] < counts_[victim] ||
-          (counts_[i] == counts_[victim] && ids_[i] < ids_[victim])) {
+          (counts_[i] == counts_[victim] && keys_[i] < keys_[victim])) {
         victim = i;
       }
     }
+    const std::string_view key = GlobalKeyInterner().KeyForId(id);
     if (ids_.size() < capacity_) {
       ids_.push_back(id);
       counts_.push_back(weight);
       errors_.push_back(0);
+      keys_.push_back(key);
       return;
     }
-    // Evict the (min count, min id) counter; the newcomer inherits its
+    // Evict the (min count, min key) counter; the newcomer inherits its
     // count as the error bound.
     const uint64_t floor = counts_[victim];
     ids_[victim] = id;
     counts_[victim] = floor + weight;
     errors_[victim] = floor;
+    keys_[victim] = key;
   }
 
   size_t capacity() const { return capacity_; }
@@ -84,17 +96,14 @@ class SpaceSavingTopK {
     return t;
   }
 
-  /// Counters sorted by (count desc, id asc) — deterministic.
+  /// Counters sorted by (count desc, key asc) — deterministic.
   std::vector<Counter> Entries() const {
     std::vector<Counter> out;
     out.reserve(ids_.size());
     for (size_t i = 0; i < ids_.size(); ++i) {
-      out.push_back(Counter{ids_[i], counts_[i], errors_[i]});
+      out.push_back(Counter{ids_[i], counts_[i], errors_[i], keys_[i]});
     }
-    std::sort(out.begin(), out.end(), [](const Counter& a, const Counter& b) {
-      if (a.count != b.count) return a.count > b.count;
-      return a.id < b.id;
-    });
+    std::sort(out.begin(), out.end(), ByCountThenKey);
     return out;
   }
 
@@ -105,7 +114,7 @@ class SpaceSavingTopK {
   /// as both count and error contribution, preserving the overestimate
   /// invariant: the true combined frequency stays in [count - error,
   /// count]. The union then keeps the top `capacity` counters, ordered
-  /// by (count desc, id asc) over the full union before truncation, so
+  /// by (count desc, key asc) over the full union before truncation, so
   /// the result is deterministic regardless of merge order.
   void Merge(const SpaceSavingTopK& other) {
     if (other.ids_.empty()) return;
@@ -117,30 +126,26 @@ class SpaceSavingTopK {
       const size_t oi = other.Find(ids_[i]);
       if (oi != kNotFound) {
         merged.push_back(Counter{ids_[i], counts_[i] + other.counts_[oi],
-                                 errors_[i] + other.errors_[oi]});
+                                 errors_[i] + other.errors_[oi], keys_[i]});
       } else {
         merged.push_back(Counter{ids_[i], counts_[i] + floor_other,
-                                 errors_[i] + floor_other});
+                                 errors_[i] + floor_other, keys_[i]});
       }
     }
     for (size_t oi = 0; oi < other.ids_.size(); ++oi) {
       if (Find(other.ids_[oi]) != kNotFound) continue;  // already paired
       merged.push_back(Counter{other.ids_[oi], other.counts_[oi] + floor_this,
-                               other.errors_[oi] + floor_this});
+                               other.errors_[oi] + floor_this,
+                               other.keys_[oi]});
     }
-    std::sort(merged.begin(), merged.end(),
-              [](const Counter& a, const Counter& b) {
-                if (a.count != b.count) return a.count > b.count;
-                return a.id < b.id;
-              });
+    std::sort(merged.begin(), merged.end(), ByCountThenKey);
     if (merged.size() > capacity_) merged.resize(capacity_);
-    ids_.clear();
-    counts_.clear();
-    errors_.clear();
+    Clear();
     for (const Counter& c : merged) {
       ids_.push_back(c.id);
       counts_.push_back(c.count);
       errors_.push_back(c.error);
+      keys_.push_back(c.key);
     }
   }
 
@@ -148,10 +153,16 @@ class SpaceSavingTopK {
     ids_.clear();
     counts_.clear();
     errors_.clear();
+    keys_.clear();
   }
 
  private:
   static constexpr size_t kNotFound = static_cast<size_t>(-1);
+
+  static bool ByCountThenKey(const Counter& a, const Counter& b) {
+    if (a.count != b.count) return a.count > b.count;
+    return a.key < b.key;
+  }
 
   size_t Find(KeyId id) const {
     for (size_t i = 0; i < ids_.size(); ++i) {
@@ -174,6 +185,7 @@ class SpaceSavingTopK {
   std::vector<KeyId> ids_;
   std::vector<uint64_t> counts_;
   std::vector<uint64_t> errors_;
+  std::vector<std::string_view> keys_;
 };
 
 }  // namespace blockoptr

@@ -14,50 +14,44 @@ std::string TxContext::Namespaced(std::string_view key) const {
   return ns_stack_.back() + "~" + std::string(key);
 }
 
-void TxContext::RecordRead(const std::string& full_key,
-                           const std::optional<Version>& version) {
-  // One read item per key (Fabric records the first observed version).
-  auto it = std::find_if(rwset_.reads.begin(), rwset_.reads.end(),
-                         [&](const ReadItem& r) { return r.key == full_key; });
-  if (it == rwset_.reads.end()) {
-    rwset_.reads.push_back(ReadItem{full_key, version});
-  }
+KeyId TxContext::InternNamespaced(std::string_view key) {
+  key_buf_.assign(ns_stack_.back());
+  key_buf_ += '~';
+  key_buf_ += key;
+  return GlobalKeyInterner().Intern(key_buf_);
 }
 
 std::optional<std::string> TxContext::GetState(std::string_view key) {
-  std::string full = Namespaced(key);
-  const VersionedValue* vv = store_->Peek(full);
-  RecordRead(full, vv != nullptr ? std::optional<Version>(vv->version)
-                                 : std::nullopt);
+  const KeyId id = InternNamespaced(key);
+  const VersionedValue* vv = store_->PeekById(id);
+  // One read item per key (Fabric records the first observed version).
+  if (std::none_of(rwset_.reads.begin(), rwset_.reads.end(),
+                   [id](const ReadItem& r) { return r.id == id; })) {
+    rwset_.reads.push_back(ReadItem{
+        id, vv != nullptr ? std::optional<Version>(vv->version)
+                          : std::nullopt});
+  }
   if (vv == nullptr) return std::nullopt;
   return vv->value;
 }
 
+WriteItem& TxContext::WriteSlot(KeyId id) {
+  auto it = std::find_if(rwset_.writes.begin(), rwset_.writes.end(),
+                         [id](const WriteItem& w) { return w.id == id; });
+  if (it != rwset_.writes.end()) return *it;
+  return rwset_.writes.emplace_back(WriteItem{id, "", /*is_delete=*/false});
+}
+
 void TxContext::PutState(std::string_view key, std::string_view value) {
-  std::string full = Namespaced(key);
-  auto it =
-      std::find_if(rwset_.writes.begin(), rwset_.writes.end(),
-                   [&](const WriteItem& w) { return w.key == full; });
-  if (it != rwset_.writes.end()) {
-    it->value = std::string(value);
-    it->is_delete = false;
-    return;
-  }
-  rwset_.writes.push_back(WriteItem{std::move(full), std::string(value),
-                                    /*is_delete=*/false});
+  WriteItem& w = WriteSlot(InternNamespaced(key));
+  w.value.assign(value);
+  w.is_delete = false;
 }
 
 void TxContext::DeleteState(std::string_view key) {
-  std::string full = Namespaced(key);
-  auto it =
-      std::find_if(rwset_.writes.begin(), rwset_.writes.end(),
-                   [&](const WriteItem& w) { return w.key == full; });
-  if (it != rwset_.writes.end()) {
-    it->value.clear();
-    it->is_delete = true;
-    return;
-  }
-  rwset_.writes.push_back(WriteItem{std::move(full), "", /*is_delete=*/true});
+  WriteItem& w = WriteSlot(InternNamespaced(key));
+  w.value.clear();
+  w.is_delete = true;
 }
 
 void TxContext::GetStateByRange(std::string_view start_key,

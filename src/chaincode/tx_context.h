@@ -66,18 +66,23 @@ class TxContext {
   void PopNamespace();
   const std::string& current_namespace() const { return ns_stack_.back(); }
 
-  /// The accumulated read-write set (namespaced keys).
+  /// The accumulated read-write set (interned namespaced keys).
   const ReadWriteSet& rwset() const { return rwset_; }
   ReadWriteSet TakeRwset() { return std::move(rwset_); }
 
  private:
   std::string Namespaced(std::string_view key) const;
-  void RecordRead(const std::string& full_key,
-                  const std::optional<Version>& version);
+  /// Interns "<ns>~<key>", built in `key_buf_` so a point access copies
+  /// no key string once the buffer has grown.
+  KeyId InternNamespaced(std::string_view key);
+  /// The staged write of `id`, appended (empty, not a delete) on first
+  /// sight; repeated writes to a key keep one item.
+  WriteItem& WriteSlot(KeyId id);
 
   const VersionedStore* store_;
   std::vector<std::string> ns_stack_;
   ReadWriteSet rwset_;
+  std::string key_buf_;
 };
 
 }  // namespace blockoptr

@@ -230,17 +230,7 @@ Status ChannelRun::Setup(const ExperimentConfig& config) {
 }
 
 Status ChannelRun::RunToCompletion() {
-  while (completed_ < total_) {
-    if (!sim_.Step()) {
-      return Status::Internal(
-          "simulation drained before all transactions completed (" +
-          std::to_string(completed_) + "/" + std::to_string(total_) + ")");
-    }
-    if (sim_.Now() > max_sim_time_) {
-      return Status::Internal("simulation exceeded max_sim_time");
-    }
-  }
-  return Status::OK();
+  return AdvanceUntil(std::numeric_limits<double>::infinity());
 }
 
 Status ChannelRun::AdvanceUntil(SimTime epoch_end) {

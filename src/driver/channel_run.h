@@ -32,9 +32,10 @@ class ChannelRun : public Shard {
   ChannelRun(const ChannelRun&) = delete;
   ChannelRun& operator=(const ChannelRun&) = delete;
 
-  /// The classic single-channel run loop: unbounded Step() until every
-  /// scheduled request committed or early-aborted. Bit-identical to the
-  /// pre-sharding RunExperiment loop (no epoch machinery touches it).
+  /// Runs the channel alone until every scheduled request committed or
+  /// early-aborted: AdvanceUntil with an unbounded epoch, so a single
+  /// channel and the epoch-lockstep path share one step loop (and its
+  /// errors: a drained queue, or passing max_sim_time).
   Status RunToCompletion();
 
   // Shard interface (the multi-channel epoch-lockstep path).

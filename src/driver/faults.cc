@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "common/string_util.h"
@@ -78,46 +79,26 @@ const FaultEvent* FindPreset(std::string_view name) {
   return nullptr;
 }
 
+// A finite number spanning all of `text`: "nan", "inf" and overflow to
+// infinity are malformed, as for the CLI's numeric flags.
 bool ParseNumber(std::string_view text, double* out) {
   std::string buf(text);
   char* end = nullptr;
   double v = std::strtod(buf.c_str(), &end);
-  if (end == buf.c_str() || *end != '\0') return false;
+  if (end == buf.c_str() || *end != '\0' || !std::isfinite(v)) return false;
   *out = v;
   return true;
 }
 
-Status ValidateEvent(const FaultEvent& e) {
-  auto bad = [&e](const std::string& why) {
-    return Status::InvalidArgument("fault '" + DescribeFault(e) + "': " + why);
-  };
-  if (e.at < 0) return bad("onset t must be >= 0");
-  if (e.duration < 0) return bad("dur must be >= 0");
-  switch (e.kind) {
-    case FaultKind::kNodeCrash:
-      if (e.node < 0) return bad("node must be >= 0");
-      break;
-    case FaultKind::kEndorserOutage:
-    case FaultKind::kEndorserSlow:
-      if (e.org < 1) return bad("org must be >= 1");
-      if (e.kind == FaultKind::kEndorserSlow && e.factor <= 0) {
-        return bad("factor must be > 0");
-      }
-      break;
-    case FaultKind::kBurst:
-      if (e.duration <= 0) return bad("burst needs dur > 0");
-      if (e.factor <= 0) return bad("factor must be > 0");
-      break;
-    case FaultKind::kDiurnal:
-      if (e.factor < 0 || e.factor > kMaxDiurnalAmplitude) {
-        return bad("diurnal amplitude (factor) must be in [0, 0.95]");
-      }
-      if (e.period <= 0) return bad("period must be > 0");
-      break;
-    default:
-      break;
+// `v` as an int, if it is a whole number within int range: the cast of
+// anything else is lossy or undefined.
+bool ToInt(double v, int* out) {
+  if (v != std::trunc(v) || v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return false;
   }
-  return Status::OK();
+  *out = static_cast<int>(v);
+  return true;
 }
 
 /// Integral of the diurnal intensity 1 + amp*sin(2*pi*u/period) over
@@ -212,6 +193,42 @@ std::string FormatParam(double v) {
 
 }  // namespace
 
+Status ValidateEvent(const FaultEvent& e) {
+  auto bad = [&e](const std::string& why) {
+    return Status::InvalidArgument("fault '" + DescribeFault(e) + "': " + why);
+  };
+  for (double v : {e.at, e.duration, e.factor, e.period}) {
+    if (!std::isfinite(v)) return bad("parameters must be finite");
+  }
+  if (e.at < 0) return bad("onset t must be >= 0");
+  if (e.duration < 0) return bad("dur must be >= 0");
+  switch (e.kind) {
+    case FaultKind::kNodeCrash:
+      if (e.node < 0) return bad("node must be >= 0");
+      break;
+    case FaultKind::kEndorserOutage:
+    case FaultKind::kEndorserSlow:
+      if (e.org < 1) return bad("org must be >= 1");
+      if (e.kind == FaultKind::kEndorserSlow && e.factor <= 0) {
+        return bad("factor must be > 0");
+      }
+      break;
+    case FaultKind::kBurst:
+      if (e.duration <= 0) return bad("burst needs dur > 0");
+      if (e.factor <= 0) return bad("factor must be > 0");
+      break;
+    case FaultKind::kDiurnal:
+      if (e.factor < 0 || e.factor > kMaxDiurnalAmplitude) {
+        return bad("diurnal amplitude (factor) must be in [0, 0.95]");
+      }
+      if (e.period <= 0) return bad("period must be > 0");
+      break;
+    default:
+      break;
+  }
+  return Status::OK();
+}
+
 std::string_view FaultKindName(FaultKind kind) {
   switch (kind) {
     case FaultKind::kLeaderCrash:
@@ -305,20 +322,25 @@ Result<FaultPlan> ParseFaultPlan(const std::string& spec) {
                                          std::string(entry) +
                                          "' has a malformed value");
         }
+        auto not_integer = [entry] {
+          return Status::InvalidArgument("fault parameter '" +
+                                         std::string(entry) +
+                                         "' must be an integer");
+        };
         if (key == "t") {
           event.at = value;
         } else if (key == "dur") {
           event.duration = value;
         } else if (key == "node") {
-          event.node = static_cast<int>(value);
+          if (!ToInt(value, &event.node)) return not_integer();
         } else if (key == "org") {
-          event.org = static_cast<int>(value);
+          if (!ToInt(value, &event.org)) return not_integer();
         } else if (key == "factor") {
           event.factor = value;
         } else if (key == "period") {
           event.period = value;
         } else if (key == "offset") {
-          event.offset = static_cast<int>(value);
+          if (!ToInt(value, &event.offset)) return not_integer();
         } else {
           return Status::InvalidArgument(
               "unknown fault parameter '" + std::string(key) +

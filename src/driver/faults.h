@@ -80,6 +80,10 @@ struct FaultPlan {
   bool enabled() const { return !events.empty(); }
 };
 
+/// OK if `event`'s parameters are finite and in range for its kind;
+/// ParseFaultPlan accepts no event that fails this.
+Status ValidateEvent(const FaultEvent& event);
+
 /// Preset names understood by ParseFaultPlan ("leader-crash",
 /// "endorser-outage", ...), each a single event with canned parameters.
 std::vector<std::string> FaultPresetNames();

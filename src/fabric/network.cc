@@ -563,8 +563,8 @@ void FabricNetwork::DeliverBlock(Block block) {
           uint32_t tx_pos = pos++;
           if (tx.status != TxStatus::kValid) continue;
           for (const auto& w : tx.rwset.writes) {
-            p.store().Apply(w.key, w.value, w.is_delete,
-                            Version{blk.block_num, tx_pos});
+            p.store().ApplyById(w.id, w.value, w.is_delete,
+                                Version{blk.block_num, tx_pos});
           }
         }
         p.store().MarkBlockApplied(blk.block_num);

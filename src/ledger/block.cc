@@ -37,12 +37,12 @@ uint64_t Block::ComputeHash() const {
     HashBytes(h, tx.invoker.client_id);
     HashU64(h, static_cast<uint64_t>(tx.status));
     for (const auto& r : tx.rwset.reads) {
-      HashBytes(h, r.key);
+      HashBytes(h, r.key());
       HashU64(h, r.version ? r.version->block_num : ~0ULL);
       HashU64(h, r.version ? r.version->tx_num : ~0ULL);
     }
     for (const auto& w : tx.rwset.writes) {
-      HashBytes(h, w.key);
+      HashBytes(h, w.key());
       HashBytes(h, w.value);
       HashU64(h, w.is_delete ? 1 : 0);
     }

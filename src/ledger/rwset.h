@@ -12,32 +12,32 @@
 
 namespace blockoptr {
 
-/// One key read during simulation/endorsement, with the committed version
-/// observed at that time (nullopt when the key did not exist).
+/// One key read during simulation/endorsement: the interned id of the
+/// namespaced key and the committed version observed at that time (nullopt
+/// when the key did not exist). The chaincode shim interns the key once;
+/// every later consumer compares ids. Equal ids mean equal keys (the
+/// interner is process-wide).
 struct ReadItem {
-  std::string key;
+  KeyId id = kInvalidKeyId;
   std::optional<Version> version;
-  /// Lazily cached interned id of `key` (ids are process-stable, so a
-  /// cached value never goes stale; copies may carry it). Filled by the
-  /// validator's first lookup; excluded from equality.
-  mutable KeyId cached_id = kInvalidKeyId;
 
-  friend bool operator==(const ReadItem& a, const ReadItem& b) {
-    return a.key == b.key && a.version == b.version;
-  }
+  /// The key string, resolved through the interner (stable for the
+  /// process lifetime).
+  std::string_view key() const { return GlobalKeyInterner().KeyForId(id); }
+
+  friend bool operator==(const ReadItem&, const ReadItem&) = default;
 };
 
-/// One key written (or deleted) by the transaction.
+/// One key written (or deleted) by the transaction, named by id like
+/// ReadItem.
 struct WriteItem {
-  std::string key;
+  KeyId id = kInvalidKeyId;
   std::string value;
   bool is_delete = false;
-  /// Same contract as ReadItem::cached_id.
-  mutable KeyId cached_id = kInvalidKeyId;
 
-  friend bool operator==(const WriteItem& a, const WriteItem& b) {
-    return a.key == b.key && a.value == b.value && a.is_delete == b.is_delete;
-  }
+  std::string_view key() const { return GlobalKeyInterner().KeyForId(id); }
+
+  friend bool operator==(const WriteItem&, const WriteItem&) = default;
 };
 
 /// One range-query result: the interned id of the key and the committed
@@ -76,13 +76,14 @@ struct ReadWriteSet {
   std::vector<WriteItem> writes;
   std::vector<RangeQueryInfo> range_queries;
 
-  /// Lazily built, cached sorted-unique KeyId views over the same key
-  /// sets as ReadKeys()/WriteKeys()/AccessedKeys(). Invalidated by size:
-  /// the cache is rebuilt whenever the number of reads, writes, range
-  /// queries, or range results has changed since it was built (every
-  /// mutation path in the codebase appends items; replacing a key
-  /// in place without changing any count is not supported). Not
-  /// thread-safe: views must be built and read from the owning thread.
+  /// Lazily built, cached sorted-unique KeyId views of RS(x) (point reads
+  /// and range results), WS(x) and RWS(x) — the paper's key sets.
+  /// Invalidated by size: the cache is rebuilt whenever the number of
+  /// reads, writes, range queries, or range results has changed since it
+  /// was built (every mutation path in the codebase appends items;
+  /// replacing a key in place without changing any count is not
+  /// supported). Not thread-safe: views must be built and read from the
+  /// owning thread.
   struct KeyIdViews {
     std::vector<KeyId> read_ids;
     std::vector<KeyId> write_ids;
@@ -100,27 +101,15 @@ struct ReadWriteSet {
            a.range_queries == b.range_queries;
   }
 
-  /// All keys accessed (reads, writes, and range-query results), deduped,
-  /// sorted. This is RWS(x) in the paper's formalization.
-  std::vector<std::string> AccessedKeys() const;
-
-  /// Keys in the read set (including range results): RS(x).
-  std::vector<std::string> ReadKeys() const;
-
-  /// Keys in the write set: WS(x).
-  std::vector<std::string> WriteKeys() const;
-
   /// Interned-ID views of RS(x)/WS(x)/RWS(x): sorted by KeyId, deduped,
-  /// cached across calls (the string accessors above re-sort on every
-  /// call and allocate a fresh vector; the hot loops use these instead).
-  /// ID sort order is NOT lexicographic key order — use the views for
-  /// membership, merge, and intersection only.
+  /// cached across calls. ID sort order is NOT lexicographic key order —
+  /// use the views for membership, merge, and intersection only.
   const std::vector<KeyId>& ReadKeyIds() const;
   const std::vector<KeyId>& WriteKeyIds() const;
   const std::vector<KeyId>& AccessedKeyIds() const;
 
-  bool HasWriteTo(const std::string& key) const;
-  bool HasReadOf(const std::string& key) const;
+  /// True if `id` is in RS(x): a point read or a range result.
+  bool HasReadOf(KeyId id) const;
 
  private:
   void EnsureIdViews() const;

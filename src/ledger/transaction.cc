@@ -45,7 +45,7 @@ TxType DeriveTxType(const ReadWriteSet& rwset) {
   if (rwset.writes.empty()) return TxType::kRead;
   // A write that also reads the same key is an update (read-modify-write).
   for (const auto& w : rwset.writes) {
-    if (rwset.HasReadOf(w.key)) return TxType::kUpdate;
+    if (rwset.HasReadOf(w.id)) return TxType::kUpdate;
   }
   return TxType::kWrite;
 }

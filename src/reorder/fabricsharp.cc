@@ -14,16 +14,16 @@ bool FabricSharpReorderer::ReadsFreshAgainstShadow(
                    const std::optional<Version>& version) {
     auto it = shadow_.find(key);
     if (it == shadow_.end()) return true;  // untouched by ordered blocks
-    if (!it->second.has_value()) {
+    const std::optional<Version>& shadow = it->second.version;
+    if (!shadow.has_value()) {
       // Key deleted by an ordered transaction; a read of "absent" is fine.
       return !version.has_value();
     }
-    return version.has_value() && *version == *it->second;
+    return version.has_value() && *version == *shadow;
   };
   for (const auto& r : rwset.reads) {
-    if (!check(r.key, r.version)) return false;
+    if (!check(r.key(), r.version)) return false;
   }
-  const Interner& interner = GlobalKeyInterner();
   for (const auto& rq : rwset.range_queries) {
     for (const auto& r : rq.results) {
       if (!check(r.key(), r.version)) return false;
@@ -35,14 +35,12 @@ bool FabricSharpReorderer::ReadsFreshAgainstShadow(
     auto end =
         rq.end_key.empty() ? shadow_.end() : shadow_.lower_bound(rq.end_key);
     for (; it != end; ++it) {
-      if (!it->second.has_value()) continue;  // deletes insert nothing
-      // Results name stored, hence interned, keys: a shadow key the
-      // interner has never seen cannot be among them.
-      const KeyId id = interner.Lookup(it->first);
+      // Deletes insert nothing.
+      if (!it->second.version.has_value()) continue;
+      const KeyId id = it->second.id;
       const bool seen =
-          id != kInvalidKeyId &&
           std::any_of(rq.results.begin(), rq.results.end(),
-                      [&](const RangeResult& r) { return r.id == id; });
+                      [id](const RangeResult& r) { return r.id == id; });
       if (!seen) return false;  // phantom insert
     }
   }
@@ -97,10 +95,12 @@ void FabricSharpReorderer::ProcessBatch(std::vector<Transaction>& batch) {
   // Update the shadow with the survivors' writes at their final positions.
   for (size_t pos = 0; pos < out.size(); ++pos) {
     for (const auto& w : out[pos].rwset.writes) {
+      ShadowEntry& entry = shadow_[w.key()];
+      entry.id = w.id;
       if (w.is_delete) {
-        shadow_[w.key] = std::nullopt;
+        entry.version = std::nullopt;
       } else {
-        shadow_[w.key] = Version{block_num, static_cast<uint32_t>(pos)};
+        entry.version = Version{block_num, static_cast<uint32_t>(pos)};
       }
     }
   }

@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fabric/orderer.h"
@@ -46,10 +47,15 @@ class FabricSharpReorderer : public BlockReorderer {
  private:
   bool ReadsFreshAgainstShadow(const ReadWriteSet& rwset) const;
 
-  // key -> version it will hold once pending blocks commit; nullopt means
-  // the key will be deleted. Transparent comparator: range results look
-  // keys up by string_view without building a temporary string.
-  std::map<std::string, std::optional<Version>, std::less<>> shadow_;
+  struct ShadowEntry {
+    KeyId id = kInvalidKeyId;
+    // Version the key will hold once pending blocks commit; nullopt means
+    // the key will be deleted.
+    std::optional<Version> version;
+  };
+  // Keyed by the interner's view of the key (stable for the process
+  // lifetime), in key order so a range query can scan it for inserts.
+  std::map<std::string_view, ShadowEntry> shadow_;
   uint64_t next_block_num_;
   uint64_t cross_block_aborts_ = 0;
   uint64_t intra_block_aborts_ = 0;

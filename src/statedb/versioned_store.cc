@@ -71,27 +71,27 @@ std::vector<std::pair<std::string, VersionedValue>> VersionedStore::Range(
 
 void VersionedStore::Apply(std::string_view key, std::string_view value,
                            bool is_delete, Version version) {
-  ApplyById(GlobalKeyInterner().Intern(key), key, value, is_delete, version);
+  ApplyById(GlobalKeyInterner().Intern(key), value, is_delete, version);
 }
 
-void VersionedStore::ApplyById(KeyId id, std::string_view key,
-                               std::string_view value, bool is_delete,
-                               Version version) {
+void VersionedStore::ApplyById(KeyId id, std::string_view value,
+                               bool is_delete, Version version) {
   EnsureIndexSlot(id);
   VersionedValue*& slot = index_[id];
   if (is_delete) {
     if (slot == nullptr) return;
     slot = nullptr;
-    map_.erase(map_.find(key));
+    map_.erase(map_.find(GlobalKeyInterner().KeyForId(id)));
     return;
   }
   if (slot != nullptr) {
-    // Overwrite in place: no map lookup, no temporary key string.
+    // Overwrite in place: no map lookup, no key string.
     slot->value.assign(value);
     slot->version = version;
     return;
   }
-  auto mit = map_.try_emplace(std::string(key)).first;
+  auto mit =
+      map_.try_emplace(std::string(GlobalKeyInterner().KeyForId(id))).first;
   mit->second.value = std::string(value);
   mit->second.version = version;
   mit->second.id = id;

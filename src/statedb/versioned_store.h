@@ -70,9 +70,9 @@ class VersionedStore {
   /// the store destroyed. This is the validation hot path.
   const VersionedValue* Peek(std::string_view key) const;
 
-  /// Peek() for a caller that already holds the key's interned id (e.g.
-  /// cached on a ReadItem): a single bounds-checked array load, no string
-  /// hash. Passing kInvalidKeyId is allowed and returns nullptr.
+  /// Peek() for a caller that already holds the key's interned id (a
+  /// ReadItem's): a single bounds-checked array load, no string hash.
+  /// Passing kInvalidKeyId is allowed and returns nullptr.
   const VersionedValue* PeekById(KeyId id) const {
     return id < index_.size() ? index_[id] : nullptr;
   }
@@ -105,14 +105,17 @@ class VersionedStore {
     }
   }
 
-  /// Writes or deletes a single key at `version` (used by block commit).
+  /// Writes or deletes a single key at `version`, interning it (used to
+  /// seed state).
   void Apply(std::string_view key, std::string_view value, bool is_delete,
              Version version);
 
-  /// Apply() for a caller that already interned `key` as `id` — skips the
-  /// interner probe. `id` MUST be the interned id of `key`.
-  void ApplyById(KeyId id, std::string_view key, std::string_view value,
-                 bool is_delete, Version version);
+  /// Apply() for a caller that holds the key's interned id (block commit
+  /// applies RW-set writes this way). The key string is resolved through
+  /// the interner only when a map node is inserted or erased; an
+  /// overwrite is one array load.
+  void ApplyById(KeyId id, std::string_view value, bool is_delete,
+                 Version version);
 
   /// Height of the last block applied via MarkBlockApplied.
   uint64_t applied_height() const { return applied_height_; }

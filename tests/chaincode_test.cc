@@ -28,7 +28,7 @@ TEST(TxContextTest, GetStateRecordsReadWithVersion) {
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, "va");
   ASSERT_EQ(ctx.rwset().reads.size(), 1u);
-  EXPECT_EQ(ctx.rwset().reads[0].key, "cc~a");
+  EXPECT_EQ(ctx.rwset().reads[0].key(), "cc~a");
   EXPECT_EQ(ctx.rwset().reads[0].version, (Version{1, 0}));
 }
 
@@ -195,8 +195,8 @@ TEST(CrossChaincodeTest, WritesLandInEachNamespace) {
   CallerContract caller;
   ASSERT_TRUE(caller.Invoke(ctx, "go", {"k"}).ok());
   ASSERT_EQ(ctx.rwset().writes.size(), 2u);
-  EXPECT_EQ(ctx.rwset().writes[0].key, "caller~k");
-  EXPECT_EQ(ctx.rwset().writes[1].key, "writer~k");
+  EXPECT_EQ(ctx.rwset().writes[0].key(), "caller~k");
+  EXPECT_EQ(ctx.rwset().writes[1].key(), "writer~k");
   // Namespace stack restored.
   EXPECT_EQ(ctx.current_namespace(), "caller");
 }

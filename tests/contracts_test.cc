@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "chaincode/tx_context.h"
+#include "common/interner.h"
 #include "contracts/drm.h"
 #include "contracts/dv.h"
 #include "contracts/ehr.h"
@@ -17,6 +20,13 @@
 namespace blockoptr {
 namespace {
 
+KeyId Id(std::string_view key) { return GlobalKeyInterner().Intern(key); }
+
+bool HasWriteTo(const ReadWriteSet& rw, std::string_view key) {
+  return std::any_of(rw.writes.begin(), rw.writes.end(),
+                     [&](const WriteItem& w) { return w.key() == key; });
+}
+
 /// Runs one invocation against `store` and, on success, applies the
 /// staged writes back so sequences of invocations behave like committed
 /// transactions.
@@ -28,7 +38,7 @@ Status Exec(Chaincode& cc, VersionedStore& store, const std::string& fn,
   if (rwset_out != nullptr) *rwset_out = ctx.rwset();
   if (st.ok()) {
     for (const auto& w : ctx.rwset().writes) {
-      store.Apply(w.key, w.value, w.is_delete, Version{version, 0});
+      store.ApplyById(w.id, w.value, w.is_delete, Version{version, 0});
     }
   }
   return st;
@@ -141,10 +151,10 @@ TEST(ScmTest, UpdateAuditInfoHasDisjointWriteSet) {
   ReadWriteSet audit_rw, ship_rw;
   ASSERT_TRUE(Exec(cc, store, "UpdateAuditInfo", {"P1", "e1"}, &audit_rw).ok());
   ASSERT_TRUE(Exec(cc, store, "Ship", {"P1"}, &ship_rw, 2).ok());
-  EXPECT_TRUE(audit_rw.HasReadOf("scm~PRODUCT_P1"));
-  auto aw = audit_rw.WriteKeys();
-  auto sw = ship_rw.WriteKeys();
-  std::vector<std::string> inter;
+  EXPECT_TRUE(audit_rw.HasReadOf(Id("scm~PRODUCT_P1")));
+  const auto& aw = audit_rw.WriteKeyIds();
+  const auto& sw = ship_rw.WriteKeyIds();
+  std::vector<KeyId> inter;
   std::set_intersection(aw.begin(), aw.end(), sw.begin(), sw.end(),
                         std::back_inserter(inter));
   EXPECT_TRUE(inter.empty());
@@ -186,7 +196,7 @@ TEST(DrmTest, CalcRevenueReadsCountWritesRevenue) {
   ASSERT_TRUE(Exec(cc, store, "CalcRevenue", {"M1"}, &rw, 2).ok());
   EXPECT_EQ(store.Get("drm~REV_M1")->value, "3.00");
   // Write set disjoint from Play's — the reorderable pair of §6.2.
-  EXPECT_FALSE(rw.HasWriteTo("drm~MUSIC_M1"));
+  EXPECT_FALSE(HasWriteTo(rw, "drm~MUSIC_M1"));
 }
 
 TEST(DrmDeltaTest, PlayIsBlindWriteToUniqueKey) {
@@ -196,7 +206,7 @@ TEST(DrmDeltaTest, PlayIsBlindWriteToUniqueKey) {
   ASSERT_TRUE(Exec(cc, store, "Play", {"M1", "u7"}, &rw).ok());
   EXPECT_TRUE(rw.reads.empty());
   ASSERT_EQ(rw.writes.size(), 1u);
-  EXPECT_EQ(rw.writes[0].key, "drm_delta~DELTA_M1_u7");
+  EXPECT_EQ(rw.writes[0].key(), "drm_delta~DELTA_M1_u7");
   EXPECT_EQ(DeriveTxType(rw), TxType::kWrite);
 }
 
@@ -254,7 +264,7 @@ TEST(DrmSplitTest, PartitionsDoNotShareKeys) {
   // The core partitioning property: Play's writes never touch the keys
   // ViewMetaData reads.
   for (const auto& w : play_rw.writes) {
-    EXPECT_FALSE(meta_rw.HasReadOf(w.key));
+    EXPECT_FALSE(meta_rw.HasReadOf(w.id));
   }
 }
 
@@ -313,8 +323,8 @@ TEST(DvTest, VoteUpdatesPartyTally) {
   ASSERT_TRUE(Exec(cc, store, "Vote", {"E1", "0", "V1"}, &rw, 2).ok());
   EXPECT_EQ(store.Get("dv~PARTY_0")->value, "1");
   // The party tally is the shared key every vote contends on.
-  EXPECT_TRUE(rw.HasWriteTo("dv~PARTY_0"));
-  EXPECT_TRUE(rw.HasReadOf("dv~PARTY_0"));
+  EXPECT_TRUE(HasWriteTo(rw, "dv~PARTY_0"));
+  EXPECT_TRUE(rw.HasReadOf(Id("dv~PARTY_0")));
 }
 
 TEST(DvTest, VoteOnClosedElectionAborts) {
@@ -335,7 +345,7 @@ TEST(DvVoterTest, VoteWritesUniqueVoterKey) {
   // Different voters write different keys: no shared write target.
   ASSERT_EQ(a.writes.size(), 1u);
   ASSERT_EQ(b.writes.size(), 1u);
-  EXPECT_NE(a.writes[0].key, b.writes[0].key);
+  EXPECT_NE(a.writes[0].id, b.writes[0].id);
 }
 
 TEST(DvTest, EndElectionClosesIt) {
@@ -358,13 +368,13 @@ TEST(LapTest, BaseKeysByEmployee) {
       Exec(cc, store, "A_Create", {"E1", "APP1", "home", "100000"}, &rw, 1)
           .ok());
   ASSERT_EQ(rw.writes.size(), 1u);
-  EXPECT_EQ(rw.writes[0].key, "lap~EMP_E1");
+  EXPECT_EQ(rw.writes[0].key(), "lap~EMP_E1");
   // Two different applications handled by the same employee contend.
   ReadWriteSet rw2;
   ASSERT_TRUE(
       Exec(cc, store, "A_Create", {"E1", "APP2", "car", "20000"}, &rw2, 2)
           .ok());
-  EXPECT_EQ(rw2.writes[0].key, "lap~EMP_E1");
+  EXPECT_EQ(rw2.writes[0].key(), "lap~EMP_E1");
 }
 
 TEST(LapAppKeyTest, AlteredModelKeysByApplication) {
@@ -377,8 +387,8 @@ TEST(LapAppKeyTest, AlteredModelKeysByApplication) {
   ASSERT_TRUE(
       Exec(cc, store, "A_Create", {"E1", "APP2", "car", "20000"}, &rw2, 2)
           .ok());
-  EXPECT_EQ(rw1.writes[0].key, "lap_app~APP_APP1");
-  EXPECT_EQ(rw2.writes[0].key, "lap_app~APP_APP2");
+  EXPECT_EQ(rw1.writes[0].key(), "lap_app~APP_APP1");
+  EXPECT_EQ(rw2.writes[0].key(), "lap_app~APP_APP2");
 }
 
 TEST(LapTest, HistoryIsBounded) {

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "driver/experiment.h"
 #include "driver/faults.h"
 #include "driver/presets.h"
@@ -61,6 +62,67 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(ParseFaultPlan("endorser-slow@factor=0").ok());
   EXPECT_FALSE(ParseFaultPlan("endorser-outage@org=0").ok());
   EXPECT_FALSE(ParseFaultPlan("diurnal@factor=1.5").ok());
+}
+
+TEST(FaultPlanTest, RejectsNonFiniteValues) {
+  // strtod accepts these spellings; a NaN onset used to pass every range
+  // check (NaN < 0 is false) and run as a fault window [nans, nans].
+  for (const char* spec :
+       {"leader-crash@t=nan", "leader-crash@t=NaN", "leader-crash@t=inf",
+        "leader-crash@dur=-inf", "burst@factor=nan", "diurnal@period=inf",
+        "endorser-slow@factor=1e400"}) {
+    EXPECT_FALSE(ParseFaultPlan(spec).ok()) << spec;
+  }
+}
+
+TEST(FaultPlanTest, IntegerParametersMustBeIntegralAndInRange) {
+  // node=1e30 used to be cast out of int range (undefined behaviour).
+  for (const char* spec :
+       {"node-crash@node=1e30", "node-crash@node=1.5", "node-crash@node=-3e9",
+        "endorser-outage@org=2.5", "endorser-outage@org=1e10",
+        "hotkey-shift@offset=0.5", "hotkey-shift@offset=4294967296"}) {
+    EXPECT_FALSE(ParseFaultPlan(spec).ok()) << spec;
+  }
+  auto plan = ParseFaultPlan("node-crash@node=2.0;hotkey-shift@offset=-7");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  for (const FaultEvent& e : plan->events) {
+    if (e.kind == FaultKind::kNodeCrash) EXPECT_EQ(e.node, 2);
+    if (e.kind == FaultKind::kSkewShift) EXPECT_EQ(e.offset, -7);
+  }
+}
+
+// Property: a truncated or byte-flipped spec either fails to parse or
+// yields events that all pass ValidateEvent (finite, in range).
+TEST(FaultPlanProperty, MangledSpecsParseToValidPlansOrFail) {
+  std::vector<std::string> seeds = {
+      "leader-crash@t=10,dur=5",
+      "node-crash@t=4,dur=3,node=2",
+      "endorser-slow@t=5,org=2,factor=8,dur=20;burst@t=30,dur=5,factor=4",
+      "endorser-outage@t=1,org=3,dur=2",
+      "diurnal@t=0,factor=0.5,period=20;hotkey-shift@t=3,offset=137"};
+  for (const auto& name : FaultPresetNames()) seeds.push_back(name);
+  const std::string alphabet = "0123456789.eE+-naifNI,=@;xt \x80";
+  Rng rng(77);
+  int parsed = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::string spec = seeds[rng.NextBelow(seeds.size())];
+    if (rng.NextBool(0.5)) {
+      spec.resize(rng.NextBelow(spec.size() + 1));
+    }
+    const int flips = static_cast<int>(rng.NextBelow(3));
+    for (int f = 0; f < flips && !spec.empty(); ++f) {
+      spec[rng.NextBelow(spec.size())] =
+          alphabet[rng.NextBelow(alphabet.size())];
+    }
+    auto plan = ParseFaultPlan(spec);
+    if (!plan.ok()) continue;
+    ++parsed;
+    for (const FaultEvent& e : plan->events) {
+      EXPECT_TRUE(ValidateEvent(e).ok())
+          << "'" << spec << "' parsed to " << DescribeFault(e);
+    }
+  }
+  EXPECT_GT(parsed, 100);  // the sweep also exercises the accept path
 }
 
 TEST(FaultPlanTest, DescribeRoundTripsThroughParse) {

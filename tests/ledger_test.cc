@@ -21,12 +21,52 @@ RangeResult RangeHit(std::string_view key, Version version) {
   return RangeResult{GlobalKeyInterner().Intern(key), version};
 }
 
+KeyId Id(std::string_view key) { return GlobalKeyInterner().Intern(key); }
+
 ReadWriteSet MakeRwset(std::vector<std::string> reads,
                        std::vector<std::string> writes) {
   ReadWriteSet rw;
-  for (auto& r : reads) rw.reads.push_back(ReadItem{r, Version{1, 0}});
-  for (auto& w : writes) rw.writes.push_back(WriteItem{w, "v", false});
+  for (auto& r : reads) rw.reads.push_back(ReadItem{Id(r), Version{1, 0}});
+  for (auto& w : writes) rw.writes.push_back(WriteItem{Id(w), "v", false});
   return rw;
+}
+
+// Reference key sets read off the items' strings, sorted and deduped:
+// RS(x) (point reads and range results), WS(x) and RWS(x).
+std::vector<std::string> SortDedup(std::vector<std::string> keys) {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
+std::vector<std::string> ReadKeys(const ReadWriteSet& rw) {
+  std::vector<std::string> keys;
+  for (const auto& r : rw.reads) keys.emplace_back(r.key());
+  for (const auto& rq : rw.range_queries) {
+    for (const auto& r : rq.results) keys.emplace_back(r.key());
+  }
+  return SortDedup(std::move(keys));
+}
+
+std::vector<std::string> WriteKeys(const ReadWriteSet& rw) {
+  std::vector<std::string> keys;
+  for (const auto& w : rw.writes) keys.emplace_back(w.key());
+  return SortDedup(std::move(keys));
+}
+
+std::vector<std::string> AccessedKeys(const ReadWriteSet& rw) {
+  std::vector<std::string> keys = ReadKeys(rw);
+  for (const auto& w : rw.writes) keys.emplace_back(w.key());
+  return SortDedup(std::move(keys));
+}
+
+std::vector<std::string> IdsToKeys(const std::vector<KeyId>& ids) {
+  const Interner& interner = GlobalKeyInterner();
+  std::vector<std::string> keys;
+  keys.reserve(ids.size());
+  for (KeyId id : ids) keys.emplace_back(interner.KeyForId(id));
+  std::sort(keys.begin(), keys.end());
+  return keys;
 }
 
 // ---------------------------------------------------------------------------
@@ -35,9 +75,14 @@ ReadWriteSet MakeRwset(std::vector<std::string> reads,
 
 TEST(RwsetTest, AccessedKeysDedupsAndSorts) {
   ReadWriteSet rw = MakeRwset({"b", "a"}, {"a", "c"});
-  EXPECT_EQ(rw.AccessedKeys(), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(rw.ReadKeys(), (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(rw.WriteKeys(), (std::vector<std::string>{"a", "c"}));
+  EXPECT_EQ(rw.AccessedKeyIds().size(), 3u);
+  EXPECT_EQ(IdsToKeys(rw.AccessedKeyIds()),
+            (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(IdsToKeys(rw.ReadKeyIds()), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(IdsToKeys(rw.WriteKeyIds()),
+            (std::vector<std::string>{"a", "c"}));
+  EXPECT_TRUE(std::is_sorted(rw.AccessedKeyIds().begin(),
+                             rw.AccessedKeyIds().end()));
 }
 
 TEST(RwsetTest, RangeResultsCountAsReads) {
@@ -48,15 +93,29 @@ TEST(RwsetTest, RangeResultsCountAsReads) {
   rq.results.push_back(RangeHit("k1", Version{1, 0}));
   rq.results.push_back(RangeHit("k2", Version{1, 1}));
   rw.range_queries.push_back(rq);
-  EXPECT_EQ(rw.ReadKeys(), (std::vector<std::string>{"k1", "k2"}));
-  EXPECT_TRUE(rw.HasReadOf("k1"));
-  EXPECT_FALSE(rw.HasReadOf("a"));
+  EXPECT_EQ(IdsToKeys(rw.ReadKeyIds()), (std::vector<std::string>{"k1", "k2"}));
+  EXPECT_TRUE(rw.HasReadOf(Id("k1")));
+  EXPECT_FALSE(rw.HasReadOf(Id("a")));
 }
 
-TEST(RwsetTest, HasWriteTo) {
-  ReadWriteSet rw = MakeRwset({}, {"x"});
-  EXPECT_TRUE(rw.HasWriteTo("x"));
-  EXPECT_FALSE(rw.HasWriteTo("y"));
+TEST(RwsetTest, HasReadOfMatchesPointReadsById) {
+  ReadWriteSet rw = MakeRwset({"r"}, {"x"});
+  EXPECT_TRUE(rw.HasReadOf(Id("r")));
+  EXPECT_FALSE(rw.HasReadOf(Id("x")));  // written, not read
+  EXPECT_FALSE(rw.HasReadOf(kInvalidKeyId));
+}
+
+TEST(RwsetTest, ItemsResolveTheirKeysAndCompareById) {
+  const ReadItem r{Id("items~k"), Version{2, 1}};
+  EXPECT_EQ(r.key(), "items~k");
+  EXPECT_EQ(r, (ReadItem{Id("items~k"), Version{2, 1}}));
+  EXPECT_NE(r, (ReadItem{Id("items~k"), std::nullopt}));
+  EXPECT_NE(r, (ReadItem{Id("items~other"), Version{2, 1}}));
+  const WriteItem w{Id("items~k"), "v", false};
+  EXPECT_EQ(w.key(), "items~k");
+  EXPECT_EQ(w, (WriteItem{Id("items~k"), "v", false}));
+  EXPECT_NE(w, (WriteItem{Id("items~k"), "v", true}));
+  EXPECT_NE(w, (WriteItem{Id("items~k"), "u", false}));
 }
 
 // ---------------------------------------------------------------------------
@@ -87,7 +146,7 @@ TEST(TxTypeTest, RangeQueryDominatesReads) {
 
 TEST(TxTypeTest, DeleteDominatesEverything) {
   ReadWriteSet rw = MakeRwset({"k"}, {"k"});
-  rw.writes.push_back(WriteItem{"d", "", true});
+  rw.writes.push_back(WriteItem{Id("d"), "", true});
   rw.range_queries.push_back(RangeQueryInfo{"a", "z", {}});
   EXPECT_EQ(DeriveTxType(rw), TxType::kDelete);
 }
@@ -196,27 +255,18 @@ TEST(LedgerTest, EmptyLedger) {
 // Interned-ID views
 // ---------------------------------------------------------------------------
 
-std::vector<std::string> IdsToKeys(const std::vector<KeyId>& ids) {
-  const Interner& interner = GlobalKeyInterner();
-  std::vector<std::string> keys;
-  keys.reserve(ids.size());
-  for (KeyId id : ids) keys.emplace_back(interner.KeyForId(id));
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
 TEST(RwsetIdViewTest, ViewsMirrorStringAccessors) {
   ReadWriteSet rw = MakeRwset({"idv~b", "idv~a"}, {"idv~a", "idv~c"});
-  EXPECT_EQ(IdsToKeys(rw.ReadKeyIds()), rw.ReadKeys());
-  EXPECT_EQ(IdsToKeys(rw.WriteKeyIds()), rw.WriteKeys());
-  EXPECT_EQ(IdsToKeys(rw.AccessedKeyIds()), rw.AccessedKeys());
+  EXPECT_EQ(IdsToKeys(rw.ReadKeyIds()), ReadKeys(rw));
+  EXPECT_EQ(IdsToKeys(rw.WriteKeyIds()), WriteKeys(rw));
+  EXPECT_EQ(IdsToKeys(rw.AccessedKeyIds()), AccessedKeys(rw));
 }
 
 TEST(RwsetIdViewTest, CacheInvalidatesOnAppend) {
   ReadWriteSet rw = MakeRwset({"idv~r1"}, {"idv~w1"});
   EXPECT_EQ(rw.ReadKeyIds().size(), 1u);  // build the cache
-  rw.reads.push_back(ReadItem{"idv~r2", Version{1, 0}});
-  rw.writes.push_back(WriteItem{"idv~w2", "v", false});
+  rw.reads.push_back(ReadItem{Id("idv~r2"), Version{1, 0}});
+  rw.writes.push_back(WriteItem{Id("idv~w2"), "v", false});
   RangeQueryInfo rq;
   rq.results.push_back(RangeHit("idv~r3", Version{1, 1}));
   rw.range_queries.push_back(rq);
@@ -224,18 +274,18 @@ TEST(RwsetIdViewTest, CacheInvalidatesOnAppend) {
             (std::vector<std::string>{"idv~r1", "idv~r2", "idv~r3"}));
   EXPECT_EQ(IdsToKeys(rw.WriteKeyIds()),
             (std::vector<std::string>{"idv~w1", "idv~w2"}));
-  EXPECT_EQ(IdsToKeys(rw.AccessedKeyIds()), rw.AccessedKeys());
+  EXPECT_EQ(IdsToKeys(rw.AccessedKeyIds()), AccessedKeys(rw));
   // Appending a result to an *existing* range query must also invalidate.
   rw.range_queries.back().results.push_back(
       RangeHit("idv~r4", Version{1, 2}));
-  EXPECT_EQ(IdsToKeys(rw.ReadKeyIds()), rw.ReadKeys());
+  EXPECT_EQ(IdsToKeys(rw.ReadKeyIds()), ReadKeys(rw));
 }
 
 TEST(RwsetIdViewTest, CopyCarriesIndependentCache) {
   ReadWriteSet rw = MakeRwset({"idv~p"}, {"idv~q"});
   EXPECT_EQ(rw.AccessedKeyIds().size(), 2u);
   ReadWriteSet copy = rw;
-  copy.writes.push_back(WriteItem{"idv~s", "v", false});
+  copy.writes.push_back(WriteItem{Id("idv~s"), "v", false});
   EXPECT_EQ(IdsToKeys(copy.WriteKeyIds()),
             (std::vector<std::string>{"idv~q", "idv~s"}));
   EXPECT_EQ(IdsToKeys(rw.WriteKeyIds()), (std::vector<std::string>{"idv~q"}));
@@ -247,7 +297,7 @@ TEST(RwsetIdViewTest, CopyCarriesIndependentCache) {
 }
 
 // Property: on random RW-sets, the interned-ID views map back to exactly
-// the key sets the legacy string accessors report, across reads, writes,
+// the key sets the items' key strings denote, across reads, writes,
 // and range-query results, including after incremental mutation.
 TEST(RwsetIdViewProperty, ViewsMirrorStringViewsOnRandomSets) {
   Rng rng(4096);
@@ -261,11 +311,11 @@ TEST(RwsetIdViewProperty, ViewsMirrorStringViewsOnRandomSets) {
     for (int m = 0; m < mutations; ++m) {
       switch (rng.NextBelow(4)) {
         case 0:
-          rw.reads.push_back(ReadItem{random_key(), Version{1, 0}});
+          rw.reads.push_back(ReadItem{Id(random_key()), Version{1, 0}});
           break;
         case 1:
           rw.writes.push_back(
-              WriteItem{random_key(), "v", rng.NextBool(0.2)});
+              WriteItem{Id(random_key()), "v", rng.NextBool(0.2)});
           break;
         case 2: {
           RangeQueryInfo rq;
@@ -281,20 +331,20 @@ TEST(RwsetIdViewProperty, ViewsMirrorStringViewsOnRandomSets) {
             rw.range_queries.back().results.push_back(
                 RangeHit(random_key(), Version{1, 1}));
           } else {
-            rw.reads.push_back(ReadItem{random_key(), Version{1, 0}});
+            rw.reads.push_back(ReadItem{Id(random_key()), Version{1, 0}});
           }
           break;
       }
       // Interleave cache builds with mutation so stale views would be
       // caught, not just the final state.
       if (rng.NextBool(0.3)) {
-        ASSERT_EQ(IdsToKeys(rw.ReadKeyIds()), rw.ReadKeys());
+        ASSERT_EQ(IdsToKeys(rw.ReadKeyIds()), ReadKeys(rw));
       }
     }
-    ASSERT_EQ(IdsToKeys(rw.ReadKeyIds()), rw.ReadKeys()) << "round " << round;
-    ASSERT_EQ(IdsToKeys(rw.WriteKeyIds()), rw.WriteKeys())
+    ASSERT_EQ(IdsToKeys(rw.ReadKeyIds()), ReadKeys(rw)) << "round " << round;
+    ASSERT_EQ(IdsToKeys(rw.WriteKeyIds()), WriteKeys(rw))
         << "round " << round;
-    ASSERT_EQ(IdsToKeys(rw.AccessedKeyIds()), rw.AccessedKeys())
+    ASSERT_EQ(IdsToKeys(rw.AccessedKeyIds()), AccessedKeys(rw))
         << "round " << round;
   }
 }

@@ -4,29 +4,36 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "blockopt/log/export.h"
 #include "blockopt/log/preprocess.h"
 #include "blockopt/metrics/metrics.h"
+#include "common/interner.h"
 #include "chaincode/tx_context.h"
 #include "common/csv.h"
 #include "common/json.h"
 #include "common/rng.h"
 #include "driver/experiment.h"
+#include "driver/faults.h"
 #include "fabric/endorsement_policy.h"
 #include "fabric/validator.h"
 #include "reorder/conflict_graph.h"
 #include "sim/service_station.h"
 #include "sim/simulator.h"
 #include "workload/synthetic.h"
+#include "workload/usecase.h"
 
 namespace blockoptr {
 namespace {
+
+KeyId Id(std::string_view key) { return GlobalKeyInterner().Intern(key); }
 
 // ---------------------------------------------------------------------------
 // End-to-end invariants swept over workload type x orderer scheduler
@@ -103,6 +110,164 @@ INSTANTIATE_TEST_SUITE_P(
                           SyntheticWorkloadType::kUpdateHeavy,
                           SyntheticWorkloadType::kRangeReadHeavy),
         ::testing::Values("", "fabricpp", "fabricsharp")));
+
+// ---------------------------------------------------------------------------
+// Serializability replay oracle
+// ---------------------------------------------------------------------------
+
+struct ReplayCounts {
+  size_t valid = 0;
+  size_t conflicts = 0;  // MVCC and phantom
+};
+
+// Keyed reference for ReadsAreCurrent: looks each point read up by its
+// key string and re-runs each range through Range(), comparing (key,
+// version) pairs, so it shares no code with the validator's id checks.
+bool ReadsCurrentByKey(const ReadWriteSet& rw, const VersionedStore& state) {
+  for (const ReadItem& r : rw.reads) {
+    const std::optional<VersionedValue> now = state.Get(r.key());
+    const std::optional<Version> version =
+        now ? std::optional<Version>(now->version) : std::nullopt;
+    if (version != r.version) return false;
+  }
+  for (const RangeQueryInfo& rq : rw.range_queries) {
+    const auto now = state.Range(rq.start_key, rq.end_key);
+    if (now.size() != rq.results.size()) return false;
+    for (size_t i = 0; i < now.size(); ++i) {
+      if (now[i].first != rq.results[i].key() ||
+          now[i].second.version != rq.results[i].version) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// Replays a finished run's ledger through a fresh store seeded the way
+// FabricNetwork::SeedState seeds (seed i at Version{0, i}). Every valid
+// transaction must read current state at its position; its writes then
+// apply at {block, pos}, so the valid transactions form a serial
+// execution in ledger order. Under vanilla ordering (no reorderer
+// pre-aborts) every MVCC or phantom conflict must also be stale at its
+// position: validation rejected nothing a serial replay would accept.
+// ReadsAreCurrent must agree with the keyed reference everywhere.
+ReplayCounts ExpectSerializableReplay(const ExperimentConfig& cfg,
+                                      const Ledger& ledger) {
+  VersionedStore state;
+  for (size_t i = 0; i < cfg.seeds.size(); ++i) {
+    const SeedEntry& seed = cfg.seeds[i];
+    state.Apply(seed.chaincode + "~" + seed.key, seed.value,
+                /*is_delete=*/false, Version{0, static_cast<uint32_t>(i)});
+  }
+  const bool vanilla = cfg.orderer_scheduler.empty();
+  ReplayCounts counts;
+  std::vector<std::string> violations;
+  for (const Block& block : ledger.blocks()) {
+    uint32_t pos = 0;
+    for (const Transaction& tx : block.transactions) {
+      const Version at{block.block_num, pos++};
+      const bool current = ReadsCurrentByKey(tx.rwset, state);
+      const std::string where = "tx " + std::to_string(tx.tx_id) + " at " +
+                                at.ToString() + " (" +
+                                std::string(TxStatusName(tx.status)) + ")";
+      if (ReadsAreCurrent(tx.rwset, state) != current) {
+        violations.push_back(where + ": ReadsAreCurrent disagrees");
+      }
+      if (tx.status == TxStatus::kValid) {
+        ++counts.valid;
+        if (!current) violations.push_back(where + " read stale state");
+        for (const WriteItem& w : tx.rwset.writes) {
+          state.ApplyById(w.id, w.value, w.is_delete, at);
+        }
+      } else if (tx.status == TxStatus::kMvccReadConflict ||
+                 tx.status == TxStatus::kPhantomReadConflict) {
+        ++counts.conflicts;
+        if (vanilla && current) {
+          violations.push_back(where + " reads current state");
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(violations.empty())
+      << violations.size() << " violations; first: " << violations.front();
+  return counts;
+}
+
+enum class ReplayWorkload { kUniform, kKeySkew2, kRangeRead, kDrm };
+
+ExperimentConfig ReplayExperiment(ReplayWorkload workload, uint64_t seed,
+                                  int num_txs) {
+  ExperimentConfig cfg;
+  cfg.network = NetworkConfig::Defaults();
+  if (workload == ReplayWorkload::kDrm) {
+    cfg.chaincodes = {"drm"};
+    for (auto& [k, v] : DrmSeedState()) {
+      cfg.seeds.push_back(SeedEntry{"drm", k, v});
+    }
+    UseCaseConfig uc;
+    uc.num_txs = num_txs;
+    uc.seed = seed;
+    cfg.schedule = GenerateDrmWorkload(uc);
+    return cfg;
+  }
+  SyntheticConfig wl;
+  wl.num_txs = num_txs;
+  wl.seed = seed;
+  if (workload == ReplayWorkload::kKeySkew2) wl.key_skew = 2;
+  if (workload == ReplayWorkload::kRangeRead) {
+    wl.type = SyntheticWorkloadType::kRangeReadHeavy;
+  }
+  cfg.chaincodes = {"genchain"};
+  for (auto& [k, v] : SyntheticSeedState(wl)) {
+    cfg.seeds.push_back(SeedEntry{"genchain", k, v});
+  }
+  cfg.schedule = GenerateSynthetic(wl);
+  return cfg;
+}
+
+using ReplayParam = std::tuple<ReplayWorkload, std::string>;
+
+class SerializableReplay : public ::testing::TestWithParam<ReplayParam> {};
+
+TEST_P(SerializableReplay, ValidTransactionsFormASerialExecution) {
+  auto [workload, scheduler] = GetParam();
+  size_t conflicts = 0;
+  for (uint64_t seed : {1, 2, 3}) {
+    ExperimentConfig cfg = ReplayExperiment(workload, seed, 800);
+    cfg.orderer_scheduler = scheduler;
+    auto out = RunExperiment(cfg);
+    ASSERT_TRUE(out.ok()) << out.status();
+    const ReplayCounts counts = ExpectSerializableReplay(cfg, out->ledger);
+    EXPECT_GT(counts.valid, 0u) << "seed " << seed;
+    conflicts += counts.conflicts;
+  }
+  // Vanilla ordering of a contended workload must produce conflicts, or
+  // the stale-read half of the oracle checked nothing.
+  if (scheduler.empty() && workload != ReplayWorkload::kUniform) {
+    EXPECT_GT(conflicts, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Oracle, SerializableReplay,
+    ::testing::Combine(::testing::Values(ReplayWorkload::kUniform,
+                                         ReplayWorkload::kKeySkew2,
+                                         ReplayWorkload::kRangeRead,
+                                         ReplayWorkload::kDrm),
+                       ::testing::Values("", "fabricpp", "fabricsharp")));
+
+TEST(SerializableReplayFault, HoldsAcrossALeaderCrash) {
+  ExperimentConfig cfg = ReplayExperiment(ReplayWorkload::kKeySkew2, 1, 1500);
+  auto faults = ParseFaultPlan("leader-crash@t=1,dur=2");
+  ASSERT_TRUE(faults.ok()) << faults.status();
+  cfg.faults = *faults;
+  auto out = RunExperiment(cfg);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(out->report.total_committed() + out->report.early_aborts(), 1500u);
+  const ReplayCounts counts = ExpectSerializableReplay(cfg, out->ledger);
+  EXPECT_GT(counts.valid, 0u);
+  EXPECT_GT(counts.conflicts, 0u);
+}
 
 // ---------------------------------------------------------------------------
 // Serialization round-trips under randomized inputs
@@ -479,12 +644,12 @@ TEST(ConflictGraphProperty, SerializableOrderRespectsPrecedence) {
     for (auto& rw : sets) {
       size_t reads = rng.NextBelow(3);
       for (size_t r = 0; r < reads; ++r) {
-        rw.reads.push_back(
-            ReadItem{"k" + std::to_string(rng.NextBelow(5)), Version{0, 0}});
+        rw.reads.push_back(ReadItem{Id("k" + std::to_string(rng.NextBelow(5))),
+                                    Version{0, 0}});
       }
       if (rng.NextBool(0.7)) {
         rw.writes.push_back(WriteItem{
-            "k" + std::to_string(rng.NextBelow(5)), "v", false});
+            Id("k" + std::to_string(rng.NextBelow(5))), "v", false});
       }
     }
     std::vector<const ReadWriteSet*> ptrs;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "common/interner.h"
 #include "fabric/validator.h"
 #include "reorder/conflict_graph.h"
@@ -9,12 +11,14 @@
 namespace blockoptr {
 namespace {
 
+KeyId Id(std::string_view key) { return GlobalKeyInterner().Intern(key); }
+
 ReadWriteSet Rw(std::vector<std::string> reads,
                 std::vector<std::string> writes,
                 std::optional<Version> read_version = Version{0, 0}) {
   ReadWriteSet rw;
-  for (auto& r : reads) rw.reads.push_back(ReadItem{r, read_version});
-  for (auto& w : writes) rw.writes.push_back(WriteItem{w, "v", false});
+  for (auto& r : reads) rw.reads.push_back(ReadItem{Id(r), read_version});
+  for (auto& w : writes) rw.writes.push_back(WriteItem{Id(w), "v", false});
   return rw;
 }
 
@@ -277,7 +281,7 @@ TEST(FabricSharpTest, DeletedKeyReadAsAbsentSurvives) {
   FabricSharpReorderer reorderer(1);
   std::vector<Transaction> batch1;
   Transaction del = Tx(1, {});
-  del.rwset.writes.push_back(WriteItem{"k", "", true});
+  del.rwset.writes.push_back(WriteItem{Id("k"), "", true});
   batch1.push_back(del);
   reorderer.ProcessBatch(batch1);
 

@@ -173,12 +173,12 @@ TEST(VersionedStoreTest, ByIdEntryPointsMatchStringOnes) {
   VersionedStore store;
   Interner& interner = GlobalKeyInterner();
   KeyId id = interner.Intern("byid~k");
-  store.ApplyById(id, "byid~k", "v1", false, Version{1, 0});
+  store.ApplyById(id, "v1", false, Version{1, 0});
   EXPECT_EQ(store.Peek("byid~k"), store.PeekById(id));
   ASSERT_NE(store.PeekById(id), nullptr);
   EXPECT_EQ(store.PeekById(id)->value, "v1");
   EXPECT_EQ(store.PeekById(kInvalidKeyId), nullptr);
-  store.ApplyById(id, "byid~k", "", true, Version{2, 0});
+  store.ApplyById(id, "", true, Version{2, 0});
   EXPECT_EQ(store.PeekById(id), nullptr);
   EXPECT_FALSE(store.Contains("byid~k"));
 }

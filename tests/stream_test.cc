@@ -18,7 +18,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "blockopt/log/preprocess.h"
@@ -36,6 +38,8 @@
 
 namespace blockoptr {
 namespace {
+
+KeyId Id(std::string_view key) { return GlobalKeyInterner().Intern(key); }
 
 SyntheticConfig Workload(SyntheticWorkloadType type, int txs, double rate,
                          uint64_t seed = 1) {
@@ -167,12 +171,12 @@ ReadWriteSet MakeRwSet(uint64_t& lcg) {
   ReadWriteSet rw;
   const int reads = 1 + static_cast<int>(next() % 3);
   for (int i = 0; i < reads; ++i) {
-    rw.reads.push_back(ReadItem{"k" + std::to_string(next() % 12), {}, {}});
+    rw.reads.push_back(ReadItem{Id("k" + std::to_string(next() % 12)), {}});
   }
   const int writes = static_cast<int>(next() % 3);
   for (int i = 0; i < writes; ++i) {
     rw.writes.push_back(
-        WriteItem{"k" + std::to_string(next() % 12), "v", false, {}});
+        WriteItem{Id("k" + std::to_string(next() % 12)), "v", false});
   }
   return rw;
 }
@@ -235,17 +239,26 @@ TEST(WindowedConflictGraphTest, EvictionMatchesBatchOverWindowSuffix) {
 // Space-saving sketch
 // ---------------------------------------------------------------------------
 
+// The interned id of sketch key `n`; zero-padded, so key order is numeric
+// order whatever order the ids were assigned in.
+KeyId TopKey(int n) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "topk~key%06d", n);
+  return Id(buf);
+}
+
 TEST(SpaceSavingTopKTest, ExactWhenUnderCapacity) {
   SpaceSavingTopK sketch(8);
   for (int i = 0; i < 4; ++i) {
-    for (int n = 0; n <= i; ++n) sketch.Offer(static_cast<KeyId>(100 + i));
+    for (int n = 0; n <= i; ++n) sketch.Offer(TopKey(100 + i));
   }
   auto entries = sketch.Entries();
   ASSERT_EQ(entries.size(), 4u);
-  // Sorted by count desc then id asc; zero error below capacity.
-  EXPECT_EQ(entries[0].id, 103u);
+  // Sorted by count desc then key asc; zero error below capacity.
+  EXPECT_EQ(entries[0].id, TopKey(103));
+  EXPECT_EQ(entries[0].key, "topk~key000103");
   EXPECT_EQ(entries[0].count, 4u);
-  EXPECT_EQ(entries[3].id, 100u);
+  EXPECT_EQ(entries[3].id, TopKey(100));
   EXPECT_EQ(entries[3].count, 1u);
   for (const auto& e : entries) EXPECT_EQ(e.error, 0u);
   EXPECT_EQ(sketch.total_offered(), 10u);
@@ -255,14 +268,14 @@ TEST(SpaceSavingTopKTest, BoundedAndKeepsHeavyHitters) {
   SpaceSavingTopK sketch(4);
   // Two heavy ids among a stream of one-off ids.
   for (int round = 0; round < 50; ++round) {
-    sketch.Offer(1);
-    sketch.Offer(2);
-    sketch.Offer(static_cast<KeyId>(1000 + round));
+    sketch.Offer(TopKey(1));
+    sketch.Offer(TopKey(2));
+    sketch.Offer(TopKey(1000 + round));
   }
   EXPECT_EQ(sketch.size(), 4u);
   auto entries = sketch.Entries();
-  EXPECT_EQ(entries[0].id, 1u);
-  EXPECT_EQ(entries[1].id, 2u);
+  EXPECT_EQ(entries[0].id, TopKey(1));
+  EXPECT_EQ(entries[1].id, TopKey(2));
   // Space-saving guarantee: true count within [count - error, count].
   EXPECT_GE(entries[0].count, 50u);
   EXPECT_GE(entries[1].count, 50u);
@@ -273,18 +286,18 @@ TEST(SpaceSavingTopKTest, MergeIsExactUnderCapacity) {
   // Two under-capacity sketches: the merge is an exact summed union with
   // zero error, regardless of merge direction.
   SpaceSavingTopK a(16), b(16);
-  for (int i = 0; i < 5; ++i) a.Offer(1);
-  for (int i = 0; i < 3; ++i) a.Offer(2);
-  for (int i = 0; i < 4; ++i) b.Offer(2);
-  for (int i = 0; i < 2; ++i) b.Offer(3);
+  for (int i = 0; i < 5; ++i) a.Offer(TopKey(1));
+  for (int i = 0; i < 3; ++i) a.Offer(TopKey(2));
+  for (int i = 0; i < 4; ++i) b.Offer(TopKey(2));
+  for (int i = 0; i < 2; ++i) b.Offer(TopKey(3));
   a.Merge(b);
   auto entries = a.Entries();
   ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0].id, 2u);
+  EXPECT_EQ(entries[0].id, TopKey(2));
   EXPECT_EQ(entries[0].count, 7u);
-  EXPECT_EQ(entries[1].id, 1u);
+  EXPECT_EQ(entries[1].id, TopKey(1));
   EXPECT_EQ(entries[1].count, 5u);
-  EXPECT_EQ(entries[2].id, 3u);
+  EXPECT_EQ(entries[2].id, TopKey(3));
   EXPECT_EQ(entries[2].count, 2u);
   for (const auto& e : entries) EXPECT_EQ(e.error, 0u);
   EXPECT_EQ(a.total_offered(), 14u);
@@ -296,23 +309,23 @@ TEST(SpaceSavingTopKTest, MergeKeepsHeavyHittersWithinErrorBound) {
   // true counts.
   SpaceSavingTopK a(4), b(4);
   for (int round = 0; round < 40; ++round) {
-    a.Offer(1);
-    a.Offer(static_cast<KeyId>(1000 + round));
-    b.Offer(1);
-    b.Offer(2);
-    b.Offer(static_cast<KeyId>(2000 + round));
+    a.Offer(TopKey(1));
+    a.Offer(TopKey(1000 + round));
+    b.Offer(TopKey(1));
+    b.Offer(TopKey(2));
+    b.Offer(TopKey(2000 + round));
   }
   a.Merge(b);
   EXPECT_LE(a.size(), 4u);
   auto entries = a.Entries();
   ASSERT_GE(entries.size(), 2u);
-  EXPECT_EQ(entries[0].id, 1u);  // true count 80, the heaviest
+  EXPECT_EQ(entries[0].id, TopKey(1));  // true count 80, the heaviest
   // Overestimate invariant: true count within [count - error, count].
   EXPECT_GE(entries[0].count, 80u);
   EXPECT_LE(entries[0].count - entries[0].error, 80u);
   bool found2 = false;
   for (const auto& e : entries) {
-    if (e.id == 2u) {
+    if (e.id == TopKey(2)) {
       found2 = true;
       EXPECT_GE(e.count, 40u);
       EXPECT_LE(e.count - e.error, 40u);
@@ -323,7 +336,7 @@ TEST(SpaceSavingTopKTest, MergeKeepsHeavyHittersWithinErrorBound) {
 
 TEST(SpaceSavingTopKTest, MergeWithEmptyIsIdentity) {
   SpaceSavingTopK a(4), empty(4);
-  for (KeyId id : {7u, 7u, 9u}) a.Offer(id);
+  for (int n : {7, 7, 9}) a.Offer(TopKey(n));
   auto before = a.Entries();
   a.Merge(empty);
   auto after_right = a.Entries();
@@ -344,12 +357,48 @@ TEST(SpaceSavingTopKTest, MergeWithEmptyIsIdentity) {
 TEST(SpaceSavingTopKTest, DeterministicEviction) {
   auto run = [] {
     SpaceSavingTopK sketch(3);
-    for (KeyId id : {5u, 9u, 2u, 7u, 2u, 5u, 11u, 3u, 2u}) sketch.Offer(id);
+    for (int n : {5, 9, 2, 7, 2, 5, 11, 3, 2}) sketch.Offer(TopKey(n));
     std::vector<KeyId> ids;
     for (const auto& e : sketch.Entries()) ids.push_back(e.id);
     return ids;
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(SpaceSavingTopKTest, TiesBreakByKeyNotByInternOrder) {
+  // "zz" is interned first, so it holds the smaller id; equal counts must
+  // still rank and evict by key: entries list "aa" first, eviction takes
+  // "aa", and a truncating merge keeps "aa".
+  const KeyId zz = Id("topk-tie~zz-interned-first");
+  const KeyId aa = Id("topk-tie~aa-interned-second");
+  ASSERT_LT(zz, aa);
+
+  SpaceSavingTopK both(2);
+  for (int i = 0; i < 3; ++i) {
+    both.Offer(zz);
+    both.Offer(aa);
+  }
+  auto entries = both.Entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].id, aa);
+  EXPECT_EQ(entries[1].id, zz);
+
+  const KeyId newcomer = Id("topk-tie~mm-newcomer");
+  both.Offer(newcomer);  // evicts the (min count, min key) counter: "aa"
+  entries = both.Entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].id, newcomer);  // inherits 3, counts 4
+  EXPECT_EQ(entries[1].id, zz);
+
+  SpaceSavingTopK left(1), right(1);
+  for (int i = 0; i < 3; ++i) {
+    left.Offer(zz);
+    right.Offer(aa);
+  }
+  left.Merge(right);  // a tie at 3 + 3 each; capacity 1 keeps one
+  entries = left.Entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].id, aa);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
 #include <string_view>
+#include <utility>
 
 #include "common/interner.h"
 #include "fabric/validator.h"
 
 namespace blockoptr {
 namespace {
+
+KeyId Id(std::string_view key) { return GlobalKeyInterner().Intern(key); }
+
+ReadItem Read(std::string_view key, std::optional<Version> version) {
+  return ReadItem{Id(key), version};
+}
+
+WriteItem Write(std::string_view key, std::string value,
+                bool is_delete = false) {
+  return WriteItem{Id(key), std::move(value), is_delete};
+}
 
 // A range result for `key`, as endorsement records it.
 RangeResult RangeHit(std::string_view key, Version version) {
@@ -34,7 +48,7 @@ TEST(ValidatorTest, ValidTransactionAppliesWrites) {
   Block block;
   block.block_num = 5;
   block.transactions.push_back(
-      MakeTx({ReadItem{"k", Version{1, 0}}}, {WriteItem{"k", "v1", false}}));
+      MakeTx({Read("k", Version{1, 0})}, {Write("k", "v1")}));
   auto stats = ValidateAndApplyBlock(block, state, TwoOfTwo());
   EXPECT_EQ(stats.valid, 1u);
   EXPECT_EQ(block.transactions[0].status, TxStatus::kValid);
@@ -48,7 +62,7 @@ TEST(ValidatorTest, StaleReadIsMvccConflict) {
   state.Apply("k", "v1", false, Version{2, 0});  // moved past the read
   Block block;
   block.transactions.push_back(
-      MakeTx({ReadItem{"k", Version{1, 0}}}, {WriteItem{"k", "v2", false}}));
+      MakeTx({Read("k", Version{1, 0})}, {Write("k", "v2")}));
   auto stats = ValidateAndApplyBlock(block, state, TwoOfTwo());
   EXPECT_EQ(stats.mvcc_conflicts, 1u);
   EXPECT_EQ(block.transactions[0].status, TxStatus::kMvccReadConflict);
@@ -59,7 +73,7 @@ TEST(ValidatorTest, StaleReadIsMvccConflict) {
 TEST(ValidatorTest, ReadOfDeletedKeyConflicts) {
   VersionedStore state;  // key absent
   Block block;
-  block.transactions.push_back(MakeTx({ReadItem{"k", Version{1, 0}}}, {}));
+  block.transactions.push_back(MakeTx({Read("k", Version{1, 0})}, {}));
   auto stats = ValidateAndApplyBlock(block, state, TwoOfTwo());
   EXPECT_EQ(stats.mvcc_conflicts, 1u);
 }
@@ -68,7 +82,7 @@ TEST(ValidatorTest, ReadOfAbsentKeyMatchesAbsentVersion) {
   VersionedStore state;
   Block block;
   block.transactions.push_back(
-      MakeTx({ReadItem{"k", std::nullopt}}, {WriteItem{"k", "v", false}}));
+      MakeTx({Read("k", std::nullopt)}, {Write("k", "v")}));
   auto stats = ValidateAndApplyBlock(block, state, TwoOfTwo());
   EXPECT_EQ(stats.valid, 1u);
 }
@@ -77,7 +91,7 @@ TEST(ValidatorTest, ReadOfNowExistingKeyConflictsWhenEndorsedAbsent) {
   VersionedStore state;
   state.Apply("k", "v", false, Version{3, 1});
   Block block;
-  block.transactions.push_back(MakeTx({ReadItem{"k", std::nullopt}}, {}));
+  block.transactions.push_back(MakeTx({Read("k", std::nullopt)}, {}));
   auto stats = ValidateAndApplyBlock(block, state, TwoOfTwo());
   EXPECT_EQ(stats.mvcc_conflicts, 1u);
 }
@@ -90,10 +104,10 @@ TEST(ValidatorTest, IntraBlockConflictSerialValidation) {
   state.Apply("ProductID", "1", false, Version{1, 0});
   Block block;
   block.block_num = 2;
-  block.transactions.push_back(MakeTx({ReadItem{"ProductID", Version{1, 0}}},
-                                      {WriteItem{"ProductID", "2", false}}));
-  block.transactions.push_back(MakeTx({ReadItem{"ProductID", Version{1, 0}}},
-                                      {WriteItem{"AuditID", "002", false}}));
+  block.transactions.push_back(MakeTx({Read("ProductID", Version{1, 0})},
+                                      {Write("ProductID", "2")}));
+  block.transactions.push_back(MakeTx({Read("ProductID", Version{1, 0})},
+                                      {Write("AuditID", "002")}));
   auto stats = ValidateAndApplyBlock(block, state, TwoOfTwo());
   EXPECT_EQ(stats.valid, 1u);
   EXPECT_EQ(stats.mvcc_conflicts, 1u);
@@ -110,11 +124,11 @@ TEST(ValidatorTest, Figure3ReorderingFixesTheConflict) {
   state.Apply("AuditID", "001", false, Version{1, 1});
   Block block;
   block.block_num = 2;
-  block.transactions.push_back(MakeTx({ReadItem{"ProductID", Version{1, 0}},
-                                       ReadItem{"AuditID", Version{1, 1}}},
-                                      {WriteItem{"AuditID", "002", false}}));
-  block.transactions.push_back(MakeTx({ReadItem{"ProductID", Version{1, 0}}},
-                                      {WriteItem{"ProductID", "2", false}}));
+  block.transactions.push_back(MakeTx({Read("ProductID", Version{1, 0}),
+                                       Read("AuditID", Version{1, 1})},
+                                      {Write("AuditID", "002")}));
+  block.transactions.push_back(MakeTx({Read("ProductID", Version{1, 0})},
+                                      {Write("ProductID", "2")}));
   auto stats = ValidateAndApplyBlock(block, state, TwoOfTwo());
   EXPECT_EQ(stats.valid, 2u);
   EXPECT_EQ(stats.mvcc_conflicts, 0u);
@@ -171,7 +185,7 @@ TEST(ValidatorTest, InsufficientEndorsementsFailPolicy) {
   VersionedStore state;
   Block block;
   block.transactions.push_back(
-      MakeTx({}, {WriteItem{"k", "v", false}}, {"Org1"}));
+      MakeTx({}, {Write("k", "v")}, {"Org1"}));
   auto stats = ValidateAndApplyBlock(block, state, TwoOfTwo());
   EXPECT_EQ(stats.endorsement_failures, 1u);
   EXPECT_EQ(block.transactions[0].status,
@@ -185,7 +199,7 @@ TEST(ValidatorTest, EndorsementCheckedBeforeMvcc) {
   Block block;
   // Both under-endorsed AND stale: the status must be the policy failure.
   block.transactions.push_back(
-      MakeTx({ReadItem{"k", Version{1, 0}}}, {}, {"Org1"}));
+      MakeTx({Read("k", Version{1, 0})}, {}, {"Org1"}));
   ValidateAndApplyBlock(block, state, TwoOfTwo());
   EXPECT_EQ(block.transactions[0].status,
             TxStatus::kEndorsementPolicyFailure);
@@ -196,7 +210,7 @@ TEST(ValidatorTest, PreAbortedTransactionsKeepStampedStatus) {
   state.Apply("k", "v", false, Version{1, 0});
   Block block;
   Transaction tx =
-      MakeTx({ReadItem{"k", Version{1, 0}}}, {WriteItem{"k", "x", false}});
+      MakeTx({Read("k", Version{1, 0})}, {Write("k", "x")});
   tx.pre_aborted = true;
   tx.status = TxStatus::kMvccReadConflict;
   block.transactions.push_back(tx);
@@ -209,7 +223,7 @@ TEST(ValidatorTest, PreAbortedTransactionsKeepStampedStatus) {
 TEST(ValidatorTest, ConfigTransactionsAreSkipped) {
   VersionedStore state;
   Block block;
-  Transaction tx = MakeTx({}, {WriteItem{"k", "v", false}});
+  Transaction tx = MakeTx({}, {Write("k", "v")});
   tx.is_config = true;
   block.transactions.push_back(tx);
   auto stats = ValidateAndApplyBlock(block, state, TwoOfTwo());
@@ -222,7 +236,7 @@ TEST(ValidatorTest, DeleteWriteRemovesKey) {
   state.Apply("k", "v", false, Version{1, 0});
   Block block;
   block.transactions.push_back(
-      MakeTx({ReadItem{"k", Version{1, 0}}}, {WriteItem{"k", "", true}}));
+      MakeTx({Read("k", Version{1, 0})}, {Write("k", "", /*is_delete=*/true)}));
   ValidateAndApplyBlock(block, state, TwoOfTwo());
   EXPECT_FALSE(state.Contains("k"));
 }
@@ -231,8 +245,8 @@ TEST(ValidatorTest, VersionsEncodeBlockAndPosition) {
   VersionedStore state;
   Block block;
   block.block_num = 7;
-  block.transactions.push_back(MakeTx({}, {WriteItem{"a", "1", false}}));
-  block.transactions.push_back(MakeTx({}, {WriteItem{"b", "2", false}}));
+  block.transactions.push_back(MakeTx({}, {Write("a", "1")}));
+  block.transactions.push_back(MakeTx({}, {Write("b", "2")}));
   ValidateAndApplyBlock(block, state, TwoOfTwo());
   EXPECT_EQ(state.Get("a")->version, (Version{7, 0}));
   EXPECT_EQ(state.Get("b")->version, (Version{7, 1}));
@@ -242,10 +256,10 @@ TEST(ValidatorTest, ReadsAreCurrentHelperMatchesValidator) {
   VersionedStore state;
   state.Apply("k", "v", false, Version{1, 0});
   ReadWriteSet fresh;
-  fresh.reads.push_back(ReadItem{"k", Version{1, 0}});
+  fresh.reads.push_back(Read("k", Version{1, 0}));
   EXPECT_TRUE(ReadsAreCurrent(fresh, state));
   ReadWriteSet stale;
-  stale.reads.push_back(ReadItem{"k", Version{0, 0}});
+  stale.reads.push_back(Read("k", Version{0, 0}));
   EXPECT_FALSE(ReadsAreCurrent(stale, state));
 }
 

@@ -801,11 +801,10 @@ void PrintCrossChannelHotKeys(const Analysis& a) {
   const auto entries = merged->Entries();
   if (entries.empty()) return;
   std::printf("cross-channel hot keys (failure-involved, merged sketch):\n");
-  const Interner& interner = GlobalKeyInterner();
   size_t shown = 0;
   for (const SpaceSavingTopK::Counter& c : entries) {
     std::printf("  %-24s count<=%llu (error bound %llu)\n",
-                std::string(interner.KeyForId(c.id)).c_str(),
+                std::string(c.key).c_str(),
                 static_cast<unsigned long long>(c.count),
                 static_cast<unsigned long long>(c.error));
     if (++shown == 8) break;
